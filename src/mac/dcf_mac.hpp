@@ -7,6 +7,18 @@
 // to send to a TxQueue and *how long* to back off to a BackoffPolicy —
 // which is exactly where 2PA's phase-2 scheduler plugs in. Service tags are
 // piggybacked on every frame of an exchange when a TagAgent is present.
+//
+// Backoff is freeze/resume with one simulator event per countdown segment,
+// not one per slot. Arming at idle start s (s = max(now, NAV, EIFS)) with k
+// slots left puts the first slot boundary at f = s + DIFS + slot and the
+// expiry at T = f + (max(k, 1) − 1)·slot. When the medium goes busy strictly
+// before T the expiry is cancelled and every boundary at or before now is
+// credited, (now − f)/slot + 1 of them once now >= f; the countdown resumes
+// from the remainder when the medium goes idle. An expiry at the very
+// instant another transmission starts still fires, so both collide as in
+// slotted CSMA. Expiries enter same-time ties exactly where the per-slot
+// countdown put its last tick (Simulator::schedule_keyed), so runs are
+// bit-identical to a slot-by-slot simulation.
 #pragma once
 
 #include <cstdint>
@@ -137,9 +149,9 @@ class DcfMac : public PhyListener {
   // Channel access.
   void start_access(bool redraw);
   void arm_step();
-  void on_step();
-  bool virtual_busy() const;  ///< NAV or EIFS active.
-  void cancel_step();
+  void on_expiry();
+  void freeze_backoff();
+  void on_virtual_busy_raised();
 
   // Sender side.
   void send_rts();
@@ -190,9 +202,12 @@ class DcfMac : public PhyListener {
   int retries_ = 0;
   TimeNs nav_until_ = 0;
   TimeNs eifs_until_ = 0;
+  /// The pending countdown segment: its one event fires at step_time_.
   Simulator::EventId step_event_ = Simulator::kInvalidEvent;
-  TimeNs step_time_ = -1;      ///< Fire time of the pending step.
-  bool step_is_first_ = true;  ///< Pending step needs DIFS+slot (vs slot).
+  TimeNs step_time_ = -1;
+  TimeNs seg_start_ = 0;     ///< Idle start the segment counts from.
+  TimeNs seg_first_ = 0;     ///< First slot boundary (seg_start_ + DIFS + slot).
+  bool step_counts_ = true;  ///< False: a re-check boundary, not an expiry.
   Simulator::EventId timeout_event_ = Simulator::kInvalidEvent;
 
   // Receiver-exchange context.
