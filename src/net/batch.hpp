@@ -2,11 +2,10 @@
 // pool of std::threads.
 //
 // Each job is completely self-contained — run_scenario builds its own
-// Simulator, Channel, MACs and RNGs — so the only shared mutable state in
-// the whole pipeline is the packet-uid counter, which is atomic and feeds
-// tracing only. Results are stored by job index, so the output order (and
-// every value in it) is identical to a sequential loop regardless of the
-// thread count or completion order.
+// Simulator, Channel, MACs, RNGs and packet-uid numbering — so jobs share
+// no mutable state. Results are stored by job index, so the output order
+// (and every value in it) is identical to a sequential loop regardless of
+// the thread count or completion order.
 #pragma once
 
 #include <cstdint>

@@ -35,7 +35,7 @@ void NodeStack::enqueue_and_notify(Packet p) {
     if (trace_ != nullptr && trace_->enabled<TraceCat::kQueue>())
       trace_->record<TraceCat::kQueue>(sim_.now(), TraceEvent::kQueueEnqueue,
                                        static_cast<std::int16_t>(self_), subflow,
-                                       queue_->backlog());
+                                       queue_->backlog(), static_cast<double>(p.uid));
     mac_->notify_queue_nonempty();
   } else {
     if (measuring) ++c.dropped_queue;
@@ -61,8 +61,8 @@ void NodeStack::inject_from_source(Packet p, FlowId flow) {
 
 void NodeStack::on_packet_delivered(const Packet& p) {
   E2EFA_ASSERT(p.dst == self_);
-  // Sentinel is max(): real uids count up from 1, but unit harnesses may
-  // hand-build packets with the default uid of 0.
+  // Sentinel is max(): real uids are never 0 or max(), but unit harnesses
+  // may hand-build packets with the default uid of 0.
   auto [it, inserted] = last_uid_.try_emplace(
       p.subflow, std::numeric_limits<std::uint64_t>::max());
   if (p.uid == it->second) return;  // duplicate (lost ACK, sender retried)

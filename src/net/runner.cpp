@@ -818,7 +818,13 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
   std::vector<std::unique_ptr<TransportSource>> sources;
   for (FlowId f = 0; f < F; ++f) {
     NodeStack* stack = stacks[static_cast<std::size_t>(logical.flow(f).source())].get();
-    auto emit = [stack, f, &active_now, &stats](Packet p) {
+    // Packet uids are per run: flow f's n-th emission (retransmissions
+    // included) is (f + 1) << 32 | n, unique in the run and independent of
+    // every other run in the process.
+    const std::uint64_t uid_base = (static_cast<std::uint64_t>(f) + 1) << 32;
+    auto emit = [stack, f, &active_now, &stats, uid_base,
+                 emitted = std::uint64_t{0}](Packet p) mutable {
+      p.uid = uid_base | ++emitted;
       const FlowId g = active_now[static_cast<std::size_t>(f)];
       if (g < 0) {
         stats.count_suspended(f);

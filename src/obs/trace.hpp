@@ -90,7 +90,7 @@ enum class TraceEvent : std::uint16_t {
   kTagInternalFinish = 10,  ///< node, a=subflow, v0=internal finish tag I (µs).
   kTagExternalFinish = 11,  ///< node, a=subflow, v0=external finish tag E (µs).
   kVClockUpdate = 12,   ///< node, v0=new virtual clock, v1=previous (µs).
-  kQueueEnqueue = 13,   ///< node, a=subflow, b=queue depth after the enqueue.
+  kQueueEnqueue = 13,   ///< node, a=subflow, b=queue depth after the enqueue, v0=packet uid.
   kQueueDrop = 14,      ///< node, a=subflow, b=queue depth (full, drop-tail).
   kFaultEpoch = 15,     ///< a=epoch index, v0=epoch start (seconds).
   kLpResolve = 16,      ///< a=epoch index, b=LpStatus, v0=epoch start (seconds).

@@ -35,29 +35,16 @@ bool Channel::medium_busy(NodeId n) const {
   return s.interferers > 0 || transmitting(n);
 }
 
-bool Channel::idle_during(NodeId n, TimeNs from) const {
-  const NodeState& s = state(n);
-  const TimeNs now = sim_.now();
-  if (s.busy) {
-    // Busy right now: idle over [from, now) only if the busy period began
-    // exactly at `now` (same-instant transmission — intentional collision
-    // semantics) and nothing else intruded earlier.
-    return s.busy_since >= now && s.last_busy_end <= from;
-  }
-  return s.last_busy_end <= from;
-}
-
 void Channel::update_busy(NodeId n) {
   NodeState& s = state(n);
   const bool now_busy = s.interferers > 0 || transmitting(n);
   if (now_busy == s.busy) return;
   s.busy = now_busy;
+  if (s.listener == nullptr) return;
   if (now_busy) {
-    s.busy_since = sim_.now();
-    if (s.listener) s.listener->on_medium_busy();
+    s.listener->on_medium_busy();
   } else {
-    s.last_busy_end = sim_.now();
-    if (s.listener) s.listener->on_medium_idle();
+    s.listener->on_medium_idle();
   }
 }
 

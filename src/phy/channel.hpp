@@ -7,9 +7,9 @@
 // itself and no other transmission overlaps the frame's airtime at the
 // node — the standard collision model that produces hidden-terminal losses.
 //
-// Carrier-sense queries are interval-based (`idle_during`) so that two
-// nodes whose backoff expires in the same slot both commit to transmitting
-// and collide, exactly as in slotted CSMA.
+// Carrier sense is pushed to the MAC as busy/idle transitions; two nodes
+// whose backoff expires at the same instant both transmit and collide,
+// exactly as in slotted CSMA (see DcfMac::on_medium_busy).
 #pragma once
 
 #include <atomic>
@@ -130,11 +130,6 @@ class Channel {
 
   bool transmitting(NodeId n) const;
 
-  /// True when the medium at n was continuously idle over [from, now).
-  /// A transmission starting exactly at `now` does not count — both
-  /// same-instant transmitters proceed (and collide).
-  bool idle_during(NodeId n, TimeNs from) const;
-
   const ChannelStats& stats() const { return stats_; }
 
  private:
@@ -143,8 +138,6 @@ class Channel {
     TimeNs tx_end = -1;          ///< End of own transmission (-1: none).
     int interferers = 0;         ///< Active foreign transmissions heard.
     bool busy = false;           ///< Cached (interferers>0 || transmitting).
-    TimeNs busy_since = 0;       ///< Start of the current busy period.
-    TimeNs last_busy_end = -1;   ///< End of the previous busy period.
     // In-progress decode attempt.
     bool decoding = false;
     bool decode_corrupted = false;

@@ -8,7 +8,7 @@
 namespace e2efa {
 
 struct Packet {
-  std::uint64_t uid = 0;   ///< Globally unique (for tracing).
+  std::uint64_t uid = 0;   ///< Unique within a run; receivers drop retried copies by it.
   std::int32_t flow = -1;  ///< Owning flow id.
   std::int32_t hop = 0;    ///< Subflow (hop index) the packet is currently on.
   std::int32_t subflow = -1;  ///< Global subflow id of the current hop.

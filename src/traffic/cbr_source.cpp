@@ -4,8 +4,6 @@
 
 namespace e2efa {
 
-std::atomic<std::uint64_t> CbrSource::next_uid_{1};
-
 CbrSource::CbrSource(Simulator& sim, double packets_per_second, int payload_bytes,
                      std::function<void(Packet)> emit, Rng& phase_rng)
     : sim_(sim), payload_bytes_(payload_bytes), emit_(std::move(emit)) {
@@ -25,7 +23,6 @@ void CbrSource::start(TimeNs until) {
 void CbrSource::tick() {
   if (sim_.now() >= until_) return;
   Packet p;
-  p.uid = next_uid_.fetch_add(1, std::memory_order_relaxed);
   p.seq = seq_++;
   p.payload_bytes = payload_bytes_;
   p.created = sim_.now();

@@ -3,7 +3,6 @@
 // allocated shares).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
@@ -15,10 +14,10 @@ namespace e2efa {
 
 class CbrSource {
  public:
-  /// `emit` receives each generated packet (flow/hop/subflow/src/dst/seq
-  /// fields prefilled by the caller-provided stamper; this class fills seq,
-  /// uid, created). A small random phase offset (< one interval) decorrelates
-  /// simultaneous sources.
+  /// `emit` receives each generated packet with seq, payload size and
+  /// creation time filled in; the caller stamps uid, flow and routing. A
+  /// small random phase offset (< one interval) decorrelates simultaneous
+  /// sources.
   CbrSource(Simulator& sim, double packets_per_second, int payload_bytes,
             std::function<void(Packet)> emit, Rng& phase_rng);
 
@@ -43,9 +42,6 @@ class CbrSource {
   TimeNs until_ = 0;
   std::int32_t owner_ = Simulator::kGlobalOwner;
   std::int64_t seq_ = 0;
-  /// Atomic so concurrent BatchRunner workers stay race-free; the uid feeds
-  /// tracing only, so cross-run numbering does not affect results.
-  static std::atomic<std::uint64_t> next_uid_;
 };
 
 }  // namespace e2efa

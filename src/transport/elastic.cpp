@@ -7,8 +7,6 @@
 
 namespace e2efa {
 
-std::atomic<std::uint64_t> ElasticTransport::next_uid_{1};
-
 namespace {
 /// Elastic sources have no fixed interval, so the decorrelating start phase
 /// draws from a fixed 5 ms window (one RNG draw, like CbrSource's).
@@ -99,7 +97,6 @@ void ElasticTransport::send_new(TimeNs now) {
         now, TraceEvent::kTransSend, static_cast<std::int16_t>(node_), flow_, 0,
         static_cast<double>(seq), cwnd(), 0, last_ack_span_);
   Packet p;
-  p.uid = next_uid_.fetch_add(1, std::memory_order_relaxed);
   p.seq = seq;
   p.payload_bytes = payload_bytes_;
   p.created = now;
@@ -124,7 +121,6 @@ void ElasticTransport::retransmit(std::int64_t seq, bool timeout, TimeNs now) {
         flow_, timeout ? 1 : 0, static_cast<double>(seq), cwnd(), 0,
         last_ack_span_);
   Packet p;
-  p.uid = next_uid_.fetch_add(1, std::memory_order_relaxed);
   p.seq = seq;
   p.payload_bytes = payload_bytes_;
   p.created = it->second.created;

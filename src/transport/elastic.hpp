@@ -16,12 +16,12 @@
 //   on_rto_event()       retransmission timeout (window collapse)
 //
 // Determinism contract: construction draws exactly one u64 from the shared
-// master RNG (like CbrSource's phase draw), all later behavior is driven by
-// simulator events only, and packet uids come from a dedicated atomic
-// counter so BatchRunner workers stay race-free.
+// master RNG (like CbrSource's phase draw), and all later behavior is
+// driven by simulator events only. Packet uids are stamped by the emitter
+// (the runner numbers each flow's emissions), so they depend only on the
+// run itself.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -133,10 +133,6 @@ class ElasticTransport : public TransportSource {
   std::int64_t retransmits_ = 0;
   std::int64_t timeouts_ = 0;
   double last_traced_cwnd_ = -1.0;
-
-  /// Separate uid stream from CbrSource's: both only feed tracing and
-  /// duplicate *identity* (uid equality), never ordering decisions.
-  static std::atomic<std::uint64_t> next_uid_;
 };
 
 }  // namespace e2efa

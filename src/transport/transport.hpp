@@ -90,8 +90,8 @@ struct TransportTelemetry {
 
 /// One flow's traffic source. The runner owns one per flow and drives it
 /// exactly like it drove CbrSource: `emit` receives each generated packet
-/// with seq/uid/created prefilled, the runner's lambda stamps routing and
-/// injects into the source NodeStack.
+/// with seq/created prefilled, the runner's lambda stamps uid and routing
+/// and injects into the source NodeStack.
 class TransportSource {
  public:
   virtual ~TransportSource() = default;

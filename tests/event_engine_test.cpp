@@ -1,7 +1,8 @@
 // Unit and stress coverage for the pooled event engine: FIFO ordering at
 // equal timestamps, generation-tagged handle safety across slot reuse,
 // exact pending() under lazy cancellation, and the Callback small-buffer
-// machinery (inline vs heap storage, move-only semantics).
+// machinery (inline vs heap storage, move-only semantics), and the
+// (time, as_of, key) order of keyed schedules, inside parallel batches too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,6 +41,98 @@ TEST(EventEngine, InterleavedScheduleCancelRescheduleSameTime) {
     sim.schedule_at(10, [&order, i] { order.push_back(i); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6, 8, 10, 11, 12, 13, 14}));
+}
+
+TEST(EventEngine, OrdinaryEventsFireInTimeThenScheduleOrder) {
+  // Events aimed at one instant from different scheduling times, and at
+  // other instants in between, fire by time and then by scheduling
+  // sequence — whatever instant each was scheduled at.
+  Simulator sim;
+  std::vector<int> order;
+  auto log = [&order](int tag) { return [&order, tag] { order.push_back(tag); }; };
+  sim.schedule_at(100, log(0));
+  sim.schedule_at(50, [&] {
+    sim.schedule_at(100, log(2));
+    sim.schedule_at(60, log(1));
+  });
+  sim.schedule_at(90, [&] { sim.schedule_at(100, log(3)); });
+  sim.schedule_at(100, [&] {
+    order.push_back(4);
+    sim.schedule_at(100, log(5));
+  });
+  sim.schedule_at(150, log(6));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 4, 2, 3, 5, 6}));
+}
+
+TEST(EventEngine, KeyedEntriesSortByAsOfThenRankThenSequence) {
+  // At T = 100 with as_of = 80: ordinary events scheduled before 80 come
+  // first, then ordinary ones scheduled at 80, then keyed entries by rank
+  // (scheduling order within a rank), then everything scheduled after 80.
+  Simulator sim;
+  std::vector<std::string> order;
+  auto log = [&order](std::string tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  sim.schedule_keyed(100, 80, 3, Simulator::kGlobalOwner, log("k3"));
+  sim.schedule_keyed(100, 80, 1, Simulator::kGlobalOwner, log("k1a"));
+  sim.schedule_at(100, log("early"));
+  sim.schedule_at(80, [&] {
+    sim.schedule_at(100, log("at80"));
+    sim.schedule_keyed(100, 80, 1, Simulator::kGlobalOwner, log("k1b"));
+  });
+  sim.schedule_at(90, [&] { sim.schedule_at(100, log("at90")); });
+  sim.schedule_keyed(100, 90, 1, Simulator::kGlobalOwner, log("k1@90"));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"early", "at80", "k1a", "k1b",
+                                             "k3", "at90", "k1@90"}));
+}
+
+TEST(EventEngine, KeyedScheduleRejectsBadOrderKeys) {
+  Simulator sim;
+  sim.run_until(10);
+  EXPECT_THROW(sim.schedule_keyed(20, 5, 1, Simulator::kGlobalOwner, [] {}),
+               ContractViolation);  // as_of before now
+  EXPECT_THROW(sim.schedule_keyed(20, 25, 1, Simulator::kGlobalOwner, [] {}),
+               ContractViolation);  // as_of after the fire time
+  EXPECT_THROW(sim.schedule_keyed(20, 15, 0, Simulator::kGlobalOwner, [] {}),
+               ContractViolation);  // rank 0 is the ordinary schedule
+  EXPECT_THROW(sim.schedule_keyed(20, 15, Simulator::kMaxRank,
+                                  Simulator::kGlobalOwner, [] {}),
+               ContractViolation);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(EventEngine, KeyedSchedulesInsideParallelBatchesMatchSerial) {
+  // Eight owners with disjoint footprints fire together at t = 10, so the
+  // parallel drain runs them as one batch. Each schedules ordinary and
+  // keyed events aimed at t = 100; the sequence numbers behind their tie
+  // keys are taken at the batch's ordered commit, so the firing order is
+  // the serial one at any thread count. The t = 100 events are global
+  // (serial barriers), so the log sees exactly that order.
+  auto run = [](int threads) {
+    constexpr int kOwners = 8;
+    Simulator sim;
+    if (threads > 1) {
+      ParallelPlan plan;
+      for (int v = 0; v < kOwners; ++v) plan.footprint.push_back({v});
+      sim.enable_parallel(std::move(plan), threads);
+    }
+    std::vector<int> order;
+    auto log = [&order](int tag) { return [&order, tag] { order.push_back(tag); }; };
+    constexpr std::int32_t kGlobal = Simulator::kGlobalOwner;
+    for (int v = 0; v < kOwners; ++v)
+      sim.schedule_at_owned(10, v, [&sim, &log, v] {
+        sim.schedule_keyed(100, 50, 1 + v % 3, kGlobal, log(100 + v));
+        sim.schedule_at(100, log(v));
+        sim.schedule_keyed(100, 50, 1 + v % 3, kGlobal, log(200 + v));
+      });
+    sim.run();
+    return order;
+  };
+  const std::vector<int> serial = run(1);
+  ASSERT_EQ(serial.size(), 24u);
+  for (int threads : {2, 4}) EXPECT_EQ(run(threads), serial) << threads;
 }
 
 TEST(EventEngine, CancelSemantics) {

@@ -3,7 +3,9 @@
 #include <memory>
 #include <vector>
 
+#include "ctrl/messages.hpp"
 #include "mac/dcf_mac.hpp"
+#include "obs/trace.hpp"
 #include "sched/fifo_queue.hpp"
 #include "sched/tag_scheduler.hpp"
 #include "topology/builders.hpp"
@@ -184,6 +186,184 @@ TEST(DcfMac, TagPiggybackRoundTrip) {
   sim.run();
   ASSERT_EQ(cb1.delivered.size(), 1u);
   EXPECT_EQ(sched1.tag_table_size(), 1);  // learned subflow 5's tag
+}
+
+// ---- Freeze/resume backoff ---------------------------------------------
+// The countdown is one event per segment; these pin its timing to the
+// slot-by-slot rules: DIFS + slot to the first boundary, freezes credit
+// every boundary at or before the busy instant, and an expiry at the
+// instant another node starts still transmits (and collides).
+
+/// Backoff policy that always draws the same slot count.
+class FixedBackoff : public BackoffPolicy {
+ public:
+  explicit FixedBackoff(int slots) : slots_(slots) {}
+  int draw_slots(Rng&, int, TimeNs) override { return slots_; }
+
+ private:
+  int slots_;
+};
+
+/// One DcfMac + FifoQueue per node, each with a fixed backoff draw, and a
+/// PHY trace to read transmission start times from.
+struct FixedNet {
+  FixedNet(Topology t, const std::vector<int>& draws, MacConfig cfg = {})
+      : topo(std::move(t)), channel(sim, topo, 2'000'000) {
+    channel.set_trace(&trace);
+    Rng master(1);
+    for (NodeId n = 0; n < topo.node_count(); ++n) {
+      queues.push_back(std::make_unique<FifoQueue>(10));
+      policies.push_back(
+          std::make_unique<FixedBackoff>(draws[static_cast<std::size_t>(n)]));
+      cbs.push_back(std::make_unique<RecordingCallbacks>());
+      macs.push_back(std::make_unique<DcfMac>(sim, channel, n, cfg, *queues.back(),
+                                              *policies.back(), *cbs.back(),
+                                              master.split()));
+    }
+  }
+
+  void send(NodeId from, NodeId to) {
+    Packet p;
+    p.src = from;
+    p.dst = to;
+    p.payload_bytes = 512;
+    queues[static_cast<std::size_t>(from)]->enqueue(p, sim.now());
+    macs[static_cast<std::size_t>(from)]->notify_queue_nonempty();
+  }
+
+  /// Start times of `type` frames sent by node n, in trace order.
+  std::vector<TimeNs> tx_times(NodeId n, FrameType type) const {
+    std::vector<TimeNs> out;
+    for (const TraceRecord& r : trace.records())
+      if (r.event() == TraceEvent::kFrameTx && r.node == n &&
+          r.a == static_cast<std::int32_t>(type))
+        out.push_back(r.t);
+    return out;
+  }
+
+  Simulator sim;
+  Topology topo;
+  Channel channel;
+  TraceSink trace;
+  std::vector<std::unique_ptr<FifoQueue>> queues;
+  std::vector<std::unique_ptr<FixedBackoff>> policies;
+  std::vector<std::unique_ptr<RecordingCallbacks>> cbs;
+  std::vector<std::unique_ptr<DcfMac>> macs;
+};
+
+/// A kCtrl broadcast with no payload: pure airtime, no NAV, no handshake.
+Frame jam_frame(int bytes) {
+  Frame f;
+  f.type = FrameType::kCtrl;
+  f.rx = kInvalidNode;
+  f.bytes = bytes;
+  return f;
+}
+
+constexpr TimeNs kSlot = 20 * kMicrosecond;
+constexpr TimeNs kDifs = 50 * kMicrosecond;
+
+TEST(DcfMacBackoff, DrawOfZeroTransmitsAfterDifsPlusSlot) {
+  for (int draw : {0, 1}) {
+    SCOPED_TRACE(draw);
+    FixedNet net(make_chain(2), {draw, 0});
+    net.send(0, 1);
+    net.sim.run();
+    const std::vector<TimeNs> rts = net.tx_times(0, FrameType::kRts);
+    ASSERT_FALSE(rts.empty());
+    EXPECT_EQ(rts[0], kDifs + kSlot);
+    EXPECT_EQ(net.cbs[1]->delivered.size(), 1u);
+  }
+}
+
+TEST(DcfMacBackoff, UninterruptedCountdownTransmitsAtKthBoundary) {
+  FixedNet net(make_chain(2), {10, 0});
+  net.send(0, 1);
+  net.sim.run();
+  const std::vector<TimeNs> rts = net.tx_times(0, FrameType::kRts);
+  ASSERT_FALSE(rts.empty());
+  EXPECT_EQ(rts[0], kDifs + 10 * kSlot);
+}
+
+TEST(DcfMacBackoff, FreezeAfterJSlotsResumesWithKMinusJ) {
+  // k = 10 slots from t = 0: boundaries at f = DIFS + slot, f + slot, ...
+  // Node 1 jams after the j-th boundary (or exactly at it: a boundary at
+  // the busy instant still counts); node 0 then needs k - j more slots
+  // after the medium is idle again plus DIFS.
+  const int k = 10;
+  const TimeNs f = kDifs + kSlot;
+  for (int j : {1, 4, 9}) {
+    for (TimeNs offset : {TimeNs{0}, 5 * kMicrosecond}) {
+      SCOPED_TRACE(testing::Message() << "j=" << j << " offset=" << offset);
+      FixedNet net(make_chain(2), {k, 0});
+      net.send(0, 1);
+      const TimeNs busy_at = f + (j - 1) * kSlot + offset;
+      TimeNs idle_at = -1;
+      net.sim.schedule_at(busy_at, [&] { idle_at = net.channel.transmit(1, jam_frame(20)); });
+      net.sim.run();
+      const std::vector<TimeNs> rts = net.tx_times(0, FrameType::kRts);
+      ASSERT_FALSE(rts.empty());
+      EXPECT_EQ(rts[0], idle_at + kDifs + (k - j) * kSlot);
+    }
+  }
+}
+
+TEST(DcfMacBackoff, SameInstantExpiriesBothTransmitAndCollide) {
+  // All three nodes hear each other. Node 0 draws 5 slots at t = 0, node 2
+  // draws 3 slots two slots later: both countdowns end at the same
+  // boundary. The younger one (node 2) fires first; node 0's expiry at the
+  // instant node 2 starts still fires, so both RTSs collide at node 1.
+  FixedNet net(make_chain(3, 100.0), {5, 0, 3});
+  net.send(0, 1);
+  net.sim.schedule_at(2 * kSlot, [&] { net.send(2, 1); });
+  const TimeNs t = kDifs + 5 * kSlot;
+  // Past the RTS (80 us) and the SIFS a clean one would be answered after,
+  // short of the CTS timeouts that start the retries.
+  net.sim.run_until(t + 150 * kMicrosecond);
+  ASSERT_FALSE(net.tx_times(0, FrameType::kRts).empty());
+  ASSERT_FALSE(net.tx_times(2, FrameType::kRts).empty());
+  EXPECT_EQ(net.tx_times(0, FrameType::kRts)[0], t);
+  EXPECT_EQ(net.tx_times(2, FrameType::kRts)[0], t);
+  std::vector<std::int16_t> first_two;
+  for (const TraceRecord& r : net.trace.records())
+    if (r.event() == TraceEvent::kFrameTx && first_two.size() < 2)
+      first_two.push_back(r.node);
+  EXPECT_EQ(first_two, (std::vector<std::int16_t>{2, 0}));
+  EXPECT_TRUE(net.tx_times(1, FrameType::kCts).empty());  // nothing decoded
+  net.sim.run();
+  EXPECT_GE(net.macs[0]->stats().timeouts, 1u);
+  EXPECT_GE(net.macs[2]->stats().timeouts, 1u);
+}
+
+TEST(DcfMacBackoff, NavSetInTheArmingInstantDefersTheCountdown) {
+  // Node 0's control listener queues a frame while an overheard RTS ends,
+  // before the MAC records the RTS's NAV. The countdown armed in that
+  // instant must not run through the reservation: it restarts at its first
+  // boundary and counts from the NAV's end, as a slot-by-slot countdown
+  // does.
+  MacConfig cfg;
+  cfg.ctrl_cw = 0;  // control draws are then always exactly one slot
+  FixedNet net(make_chain(2), {1, 1}, cfg);
+  net.macs[0]->set_ctrl_listener([&](const Frame&) {
+    auto msg = std::make_shared<CtrlMsg>();
+    msg->kind = CtrlMsg::Kind::kHello;
+    msg->origin = 0;
+    net.macs[0]->send_ctrl(std::move(msg), 30);
+  });
+  Frame rts;
+  rts.type = FrameType::kRts;
+  rts.rx = 7;  // someone node 0 overhears but is not
+  rts.bytes = 20;
+  rts.nav = kMillisecond;
+  auto payload = std::make_shared<CtrlMsg>();
+  payload->kind = CtrlMsg::Kind::kHelloDelta;
+  payload->origin = 1;
+  rts.ctrl = payload;
+  const TimeNs end = net.channel.transmit(1, rts);
+  net.sim.run();
+  const std::vector<TimeNs> ctrl = net.tx_times(0, FrameType::kCtrl);
+  ASSERT_EQ(ctrl.size(), 1u);
+  EXPECT_EQ(ctrl[0], end + kMillisecond + kDifs + kSlot);
 }
 
 }  // namespace
