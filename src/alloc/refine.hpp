@@ -7,6 +7,9 @@
 // maximize the minimum weighted share among still-free variables, fixing the
 // variables that cannot rise further. This reproduces every worked example
 // in the paper and gives deterministic output.
+//
+// All passes run on one BoundedSimplex, each warm-started from the basis of
+// the one before; DESIGN.md "Phase-1 engine" walks through them.
 #pragma once
 
 #include <vector>
@@ -18,9 +21,10 @@ namespace e2efa {
 
 /// A phase-1 allocation LP in normalized form:
 ///   maximize Σ x_i  s.t.  row_k · x <= 1 (clique capacity, B == 1),
-///                          x_i >= lb_i (basic shares).
+///                          lb_i <= x_i <= 1 (basic shares; full channel).
 struct ShareLp {
   /// Capacity rows: coefficient vector per deduplicated maximal clique.
+  /// Coefficients are non-negative (subflow counts).
   std::vector<std::vector<double>> capacity_rows;
   /// Per-variable lower bound (basic shares). Same length as weights.
   std::vector<double> lower_bounds;
@@ -36,12 +40,15 @@ struct ShareLpResult {
   /// feasibility (1.0 normally; < 1.0 when the basic shares alone exceed
   /// some clique's capacity and were proportionally relaxed).
   double min_relaxation = 1.0;
+  /// LP solves spent: the total pass, one per max-min level, and one per
+  /// dual-degenerate probe.
+  int lp_solves = 0;
 };
 
 /// Maximizes total share, then applies the balanced refinement. If the
 /// lower bounds are by themselves infeasible, they are scaled down by the
-/// largest factor that fits (bisection) before solving, and the factor is
-/// reported in `min_relaxation`.
+/// largest factor that fits, min(1, 1/max_k row_k·lb, 1/max_i lb_i), and
+/// the factor is reported in `min_relaxation`.
 ShareLpResult solve_share_lp(const ShareLp& lp);
 
 }  // namespace e2efa
