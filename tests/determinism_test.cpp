@@ -92,11 +92,14 @@ const Golden kGolden[] = {
       {434, 605},
       1039, 334, 778, 31,
       10482, 17349, 787, 316970},
+    // Re-captured when Phase-1 shares became exact (0.75 instead of
+    // 0.7499999 on scenario 1): this ablation derives static contention
+    // windows from the shares, so the windows and the run moved.
     {Protocol::k2paStaticCw,
-      {1000, 215, 654, 652},
-      {215, 652},
-      867, 787, 1017, 15,
-      10659, 17348, 791, 342654},
+      {997, 225, 650, 650},
+      {225, 650},
+      875, 772, 1013, 10,
+      10671, 17361, 794, 351496},
 };
 
 TEST(Determinism, MatchesSeedEngineGoldens) {
