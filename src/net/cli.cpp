@@ -1,6 +1,7 @@
 #include "net/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
@@ -248,6 +249,24 @@ std::pair<std::string, std::string> split_spec(const std::string& spec) {
   if (pos == std::string::npos) return {spec, ""};
   return {spec.substr(0, pos), spec.substr(pos + 1)};
 }
+
+/// `nodes` connected nodes for "random:N". The 200·√N m square with a
+/// 250 m range fixes the mean degree near 4.9, where connectivity grows
+/// unlikely with N, so after that arena's 200 placements fail the side
+/// shrinks by 0.8 per round of 200, drawing on from the same stream. Every
+/// topology the first arena places is therefore unchanged; once the
+/// diagonal is within range, a round always succeeds.
+Topology place_random_nodes(int nodes, Rng& rng) {
+  constexpr int kAttemptsPerArena = 200;
+  double side = 200.0 * std::sqrt(static_cast<double>(nodes));
+  for (;;) {
+    for (int attempt = 0; attempt < kAttemptsPerArena; ++attempt) {
+      Topology topo = make_random(nodes, side, side, rng, 250.0, /*require_connected=*/false);
+      if (topo.connected()) return topo;
+    }
+    side *= 0.8;
+  }
+}
 }  // namespace
 
 void apply_cli_dynamics(Scenario& sc, const CliOptions& opt) {
@@ -323,8 +342,7 @@ Scenario make_named_scenario(const std::string& spec, Rng& rng) {
   if (kind == "random") {
     const int nodes = std::atoi(param.c_str());
     E2EFA_ASSERT_MSG(nodes >= 4 && nodes <= 128, "random:N needs 4 <= N <= 128");
-    const double side = 200.0 * std::sqrt(static_cast<double>(nodes));
-    Scenario sc{spec, make_random(nodes, side, side, rng), {}, {}};
+    Scenario sc{spec, place_random_nodes(nodes, rng), {}, {}};
     const int nf = std::max(2, nodes / 3);
     for (int i = 0; i < nf; ++i) {
       NodeId a, b;

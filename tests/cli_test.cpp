@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "net/cli.hpp"
+#include "topology/builders.hpp"
 #include "util/assert.hpp"
 
 namespace e2efa {
@@ -207,6 +211,34 @@ TEST(NamedScenario, RandomDeterministic) {
   ASSERT_EQ(s1.flow_specs.size(), s2.flow_specs.size());
   for (std::size_t i = 0; i < s1.flow_specs.size(); ++i)
     EXPECT_EQ(s1.flow_specs[i].path, s2.flow_specs[i].path);
+}
+
+// "random:N" advertises 4 <= N <= 128: every size places a connected
+// network for every seed, flows routed.
+TEST(NamedScenario, RandomPlacesForEverySeedAndSize) {
+  for (int n : {4, 16, 40, 80, 100, 128}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE("random:" + std::to_string(n) + " seed " + std::to_string(seed));
+      Rng rng(seed);
+      const Scenario sc = make_named_scenario("random:" + std::to_string(n), rng);
+      EXPECT_EQ(sc.topo.node_count(), n);
+      EXPECT_TRUE(sc.topo.connected());
+      const FlowSet flows(sc.topo, sc.flow_specs);  // validates routes
+      EXPECT_EQ(flows.flow_count(), std::max(2, n / 3));
+    }
+  }
+}
+
+// A network the 200·√N m arena places is the one make_random draws there.
+TEST(NamedScenario, RandomKeepsTheFirstArenaPlacement) {
+  Rng a(2), b(2);
+  const Scenario sc = make_named_scenario("random:40", a);
+  const double side = 200.0 * std::sqrt(40.0);
+  const Topology want = make_random(40, side, side, b);
+  for (NodeId v = 0; v < 40; ++v) {
+    EXPECT_EQ(sc.topo.position(v).x, want.position(v).x);
+    EXPECT_EQ(sc.topo.position(v).y, want.position(v).y);
+  }
 }
 
 TEST(NamedScenario, RejectsBadSpecs) {
