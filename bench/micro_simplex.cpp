@@ -5,6 +5,7 @@
 #include "alloc/distributed.hpp"
 #include "alloc/two_tier.hpp"
 #include "lp/simplex.hpp"
+#include "net/scenario_gen.hpp"
 #include "net/scenarios.hpp"
 #include "util/rng.hpp"
 
@@ -58,6 +59,24 @@ void BM_DistributedAllocateScenario2(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(distributed_allocate(sc.topo, flows, g));
 }
 BENCHMARK(BM_DistributedAllocateScenario2);
+
+/// The 200-node, 60-flow network of e2ebench's random200-2pa-d workload
+/// (generator seed 1): 60 local problems of up to 42 shares and 78 rows,
+/// the layer that dominates that workload's setup.
+void BM_DistributedAllocateRandom200(benchmark::State& state) {
+  GenConfig cfg;
+  cfg.min_nodes = cfg.max_nodes = 200;
+  cfg.min_flows = cfg.max_flows = 60;
+  cfg.density_m = 130.0;
+  cfg.max_hops = 4;
+  cfg.p_faults = 0.0;
+  cfg.p_loss = 0.0;
+  const Scenario sc = generate_scenario(1, cfg);
+  FlowSet flows(sc.topo, sc.flow_specs);
+  ContentionGraph g(sc.topo, flows);
+  for (auto _ : state) benchmark::DoNotOptimize(distributed_allocate(sc.topo, flows, g));
+}
+BENCHMARK(BM_DistributedAllocateRandom200)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace e2efa
