@@ -1,130 +1,40 @@
-// Scheduler-core microbenchmark: events/sec of the pooled event engine on
-// MAC/PHY-shaped workloads, measured against an inline copy of the seed
-// engine (std::function handlers in a hash map + binary heap + lazy-cancel
-// hash set) so the speedup is re-measured — not asserted — on every run.
+// Scheduler-core microbenchmark: events/sec of the event engine on
+// MAC/PHY-shaped workloads.
 //
 // Emits machine-readable JSON (default BENCH_events.json): one record per
-// (engine, workload) with {"name", "events_per_sec", "ns_per_event"}.
-// Seed-engine baselines are prefixed "seed_". Both engines run the same
-// workloads alternately, best-of-`rounds`, so the ratio is robust to other
-// load on the machine.
-//
-// The parallel-drain records chart the conservative intra-sim executor on
-// a 64-owner edgeless-footprint cascade: "multi_cascade" (unowned, serial
-// drain), "multi_cascade_owned" (owner-tagged, parallel off — guarded to
-// stay within 10% of unowned, the single-thread regression gate), and
-// "parallel_cascade_tN" for N in {1,2,4,8}. The tN points only scale on
-// multi-core hardware; the curve is emitted honestly either way.
+// workload with {"name", "events_per_sec", "ns_per_event", "stamp"}, the
+// stamp naming the machine and build (bench_stamp.hpp). Each workload is
+// timed best-of-`rounds`, so the figure is robust to other load on the
+// machine.
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
+#include "bench_stamp.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
-
-namespace seedengine {
-using e2efa::TimeNs;
-
-/// The pre-rewrite event engine, kept verbatim (minus docs) as the
-/// benchmark baseline.
-class Simulator {
- public:
-  using EventId = std::uint64_t;
-  static constexpr EventId kInvalidEvent = 0;
-
-  TimeNs now() const { return now_; }
-
-  EventId schedule_at(TimeNs t, std::function<void()> fn) {
-    const EventId id = next_id_++;
-    heap_.push({t, id});
-    handlers_.emplace(id, std::move(fn));
-    return id;
-  }
-
-  EventId schedule_in(TimeNs delay, std::function<void()> fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-
-  bool cancel(EventId id) {
-    const auto it = handlers_.find(id);
-    if (it == handlers_.end()) return false;
-    handlers_.erase(it);
-    cancelled_.insert(id);
-    return true;
-  }
-
-  std::uint64_t run_until(TimeNs t_end) {
-    std::uint64_t count = 0;
-    while (!heap_.empty() && heap_.top().time <= t_end) {
-      const Entry e = heap_.top();
-      heap_.pop();
-      const auto c = cancelled_.find(e.id);
-      if (c != cancelled_.end()) {
-        cancelled_.erase(c);
-        continue;
-      }
-      const auto h = handlers_.find(e.id);
-      auto fn = std::move(h->second);
-      handlers_.erase(h);
-      now_ = e.time;
-      fn();
-      ++count;
-    }
-    if (heap_.empty() || now_ < t_end) now_ = std::max(now_, t_end);
-    return count;
-  }
-
-  std::uint64_t run() {
-    std::uint64_t count = 0;
-    while (!heap_.empty()) count += run_until(heap_.top().time);
-    return count;
-  }
-
- private:
-  struct Entry {
-    TimeNs time;
-    EventId id;
-    bool operator>(const Entry& o) const {
-      return time != o.time ? time > o.time : id > o.id;
-    }
-  };
-
-  TimeNs now_ = 0;
-  EventId next_id_ = 1;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::unordered_set<EventId> cancelled_;
-  std::unordered_map<EventId, std::function<void()>> handlers_;
-};
-
-}  // namespace seedengine
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
+using e2efa::Simulator;
+
 // The workloads below schedule small function objects — the event shapes
 // the product code actually produces ([this]-captured ticks and guard
-// timers, frame-carrying end-of-reception closures) — identically on both
-// engines: the seed engine wraps them in std::function exactly as the old
-// MAC/PHY did.
+// timers, frame-carrying end-of-reception closures).
 
 /// Bulk schedule of n empty events, then one drain.
-template <class Sim>
 double bench_schedule_drain(int n, int reps) {
   const auto t0 = Clock::now();
   for (int rep = 0; rep < reps; ++rep) {
-    Sim sim;
+    Simulator sim;
     for (int i = 0; i < n; ++i) sim.schedule_at(i, [] {});
     sim.run();
   }
@@ -133,9 +43,8 @@ double bench_schedule_drain(int n, int reps) {
 
 /// Self-rescheduling chain: each event schedules its successor (a CBR tick
 /// or backoff countdown; the closure is one `this` pointer).
-template <class Sim>
 struct CascadeCtx {
-  Sim* sim;
+  Simulator* sim;
   int count = 0;
   int n;
   struct Tick {
@@ -146,13 +55,12 @@ struct CascadeCtx {
   };
 };
 
-template <class Sim>
 double bench_cascade(int n, int reps) {
   const auto t0 = Clock::now();
   for (int rep = 0; rep < reps; ++rep) {
-    Sim sim;
-    CascadeCtx<Sim> ctx{&sim, 0, n};
-    sim.schedule_in(1, typename CascadeCtx<Sim>::Tick{&ctx});
+    Simulator sim;
+    CascadeCtx ctx{&sim, 0, n};
+    sim.schedule_in(1, CascadeCtx::Tick{&ctx});
     sim.run();
   }
   return reps * n / std::chrono::duration<double>(Clock::now() - t0).count();
@@ -160,9 +68,8 @@ double bench_cascade(int n, int reps) {
 
 /// The MAC timeout pattern: every step cancels the previous guard timer and
 /// arms a new one, so half the scheduled events die un-fired.
-template <class Sim>
 struct TimerCtx {
-  Sim* sim;
+  Simulator* sim;
   std::uint64_t pending = 0;
   int count = 0;
   int n;
@@ -178,13 +85,12 @@ struct TimerCtx {
   };
 };
 
-template <class Sim>
 double bench_timer_mix(int n, int reps) {
   const auto t0 = Clock::now();
   for (int rep = 0; rep < reps; ++rep) {
-    Sim sim;
-    TimerCtx<Sim> ctx{&sim, 0, 0, n};
-    sim.schedule_in(7, typename TimerCtx<Sim>::Step{&ctx});
+    Simulator sim;
+    TimerCtx ctx{&sim, 0, 0, n};
+    sim.schedule_in(7, TimerCtx::Step{&ctx});
     sim.run();
   }
   return reps * n / std::chrono::duration<double>(Clock::now() - t0).count();
@@ -192,9 +98,8 @@ double bench_timer_mix(int n, int reps) {
 
 /// The PHY shape: each "transmission" fans out four end-of-frame events
 /// whose closures carry frame-sized state (~40 bytes).
-template <class Sim>
 struct FanCtx {
-  Sim* sim;
+  Simulator* sim;
   int fired = 0;
   int n;
   long long sink = 0;
@@ -221,14 +126,13 @@ struct FanCtx {
   };
 };
 
-template <class Sim>
 double bench_phy_fanout(int n, int reps) {
   const auto t0 = Clock::now();
   long long sink = 0;
   for (int rep = 0; rep < reps; ++rep) {
-    Sim sim;
-    FanCtx<Sim> ctx{&sim, 0, n, 0};
-    sim.schedule_in(1, typename FanCtx<Sim>::Tx{&ctx});
+    Simulator sim;
+    FanCtx ctx{&sim, 0, n, 0};
+    sim.schedule_in(1, FanCtx::Tx{&ctx});
     sim.run();
     sink += ctx.sink;
   }
@@ -236,61 +140,36 @@ double bench_phy_fanout(int n, int reps) {
   return reps * n / std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// K independent self-rescheduling cascades, each tagged with its own owner
-/// whose declared footprint is just {owner}: an edgeless conflict graph, so
-/// every same-timestamp batch holds all K armed events and the parallel
-/// drain's scaling ceiling is the machine, not the workload. The same
-/// workload also runs unowned (plain schedule_in, serial drain) and
-/// owned-but-serial (owner tags stored, parallel never enabled) — the pair
-/// that isolates what the owner plumbing costs the serial hot path.
+/// K interleaved self-rescheduling cascades: the heap holds K entries at
+/// once, so every pop sifts through real levels (a single cascade keeps
+/// the heap at one entry).
 struct alignas(64) MultiCtx {
-  e2efa::Simulator* sim = nullptr;
-  std::int32_t owner = 0;
+  Simulator* sim = nullptr;
   int count = 0;
   int n = 0;
-  bool owned = false;
   struct Tick {
     MultiCtx* c;
     void operator()() const {
-      if (++c->count < c->n) {
-        if (c->owned)
-          c->sim->schedule_in_owned(1, c->owner, Tick{c});
-        else
-          c->sim->schedule_in(1, Tick{c});
-      }
+      if (++c->count < c->n) c->sim->schedule_in(1, Tick{c});
     }
   };
 };
 
-constexpr int kCascadeOwners = 64;
+constexpr int kCascades = 64;
 
-/// `threads` == 0 leaves parallel mode off (serial drain); > 0 arms the
-/// conservative parallel executor with that many executor threads (1 =
-/// batch selection without workers — the pure bookkeeping overhead point).
-double bench_multi_cascade(int n, int reps, bool owned, int threads) {
-  const int per = std::max(1, n / kCascadeOwners);
+double bench_multi_cascade(int n, int reps) {
+  const int per = std::max(1, n / kCascades);
   const auto t0 = Clock::now();
   for (int rep = 0; rep < reps; ++rep) {
-    e2efa::Simulator sim;
-    if (threads > 0) {
-      e2efa::ParallelPlan plan;
-      plan.footprint.resize(kCascadeOwners);
-      for (std::int32_t k = 0; k < kCascadeOwners; ++k)
-        plan.footprint[static_cast<std::size_t>(k)] = {k};
-      sim.enable_parallel(std::move(plan), threads);
-    }
-    std::vector<MultiCtx> ctxs(kCascadeOwners);
-    for (std::int32_t k = 0; k < kCascadeOwners; ++k) {
-      MultiCtx& c = ctxs[static_cast<std::size_t>(k)];
-      c = {&sim, k, 0, per, owned};
-      if (owned)
-        sim.schedule_at_owned(1, k, MultiCtx::Tick{&c});
-      else
-        sim.schedule_at(1, MultiCtx::Tick{&c});
+    Simulator sim;
+    std::vector<MultiCtx> ctxs(kCascades);
+    for (MultiCtx& c : ctxs) {
+      c = {&sim, 0, per};
+      sim.schedule_at(1, MultiCtx::Tick{&c});
     }
     sim.run();
   }
-  return reps * (static_cast<double>(per) * kCascadeOwners) /
+  return reps * (static_cast<double>(per) * kCascades) /
          std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
@@ -347,80 +226,23 @@ int main(int argc, char** argv) {
 
   struct Workload {
     const char* name;
-    double (*seed)(int, int);
-    double (*pooled)(int, int);
+    double (*run)(int, int);
   };
   const Workload workloads[] = {
-      {"schedule_drain", bench_schedule_drain<seedengine::Simulator>,
-       bench_schedule_drain<e2efa::Simulator>},
-      {"cascade", bench_cascade<seedengine::Simulator>,
-       bench_cascade<e2efa::Simulator>},
-      {"timer_mix", bench_timer_mix<seedengine::Simulator>,
-       bench_timer_mix<e2efa::Simulator>},
-      {"phy_fanout", bench_phy_fanout<seedengine::Simulator>,
-       bench_phy_fanout<e2efa::Simulator>},
+      {"schedule_drain", bench_schedule_drain},
+      {"cascade", bench_cascade},
+      {"timer_mix", bench_timer_mix},
+      {"phy_fanout", bench_phy_fanout},
+      {"multi_cascade", bench_multi_cascade},
   };
 
-  // Alternate engines within every round and keep the best round per
-  // (engine, workload): slowdowns from unrelated machine load hit both
-  // engines alike instead of biasing the ratio.
   std::vector<Result> results;
   for (const Workload& w : workloads) {
-    double seed_best = 0.0, pooled_best = 0.0;
-    for (int r = 0; r < opt.rounds; ++r) {
-      seed_best = std::max(seed_best, w.seed(opt.events, opt.reps));
-      pooled_best = std::max(pooled_best, w.pooled(opt.events, opt.reps));
-    }
-    results.push_back({w.name, pooled_best});
-    results.push_back({std::string("seed_") + w.name, seed_best});
-    std::printf("%-16s %8.2f M events/s   (seed engine %8.2f, %.2fx)\n",
-                w.name, pooled_best / 1e6, seed_best / 1e6,
-                pooled_best / seed_best);
-  }
-
-  // --- Parallel-drain scaling curve + single-thread regression guard. ----
-  // multi_cascade vs multi_cascade_owned isolates the cost the owner-tag
-  // plumbing adds to the serial drain (the code path every pre-existing
-  // run executes); the parallel_cascade_tN points chart the conservative
-  // executor. Scaling with N is only expected on multi-core hardware —
-  // the curve is emitted regardless, honestly, and CI's multi-core
-  // runners are where the speedup is enforced.
-  double unowned_best = 0.0, owned_best = 0.0;
-  for (int r = 0; r < opt.rounds; ++r) {
-    unowned_best = std::max(
-        unowned_best, bench_multi_cascade(opt.events, opt.reps, false, 0));
-    owned_best = std::max(
-        owned_best, bench_multi_cascade(opt.events, opt.reps, true, 0));
-  }
-  results.push_back({"multi_cascade", unowned_best});
-  results.push_back({"multi_cascade_owned", owned_best});
-  std::printf("%-16s %8.2f M events/s   (owned %8.2f, %.2fx)\n",
-              "multi_cascade", unowned_best / 1e6, owned_best / 1e6,
-              owned_best / unowned_best);
-  for (const int threads : {1, 2, 4, 8}) {
     double best = 0.0;
     for (int r = 0; r < opt.rounds; ++r)
-      best = std::max(best,
-                      bench_multi_cascade(opt.events, opt.reps, true, threads));
-    const std::string name = "parallel_cascade_t" + std::to_string(threads);
-    results.push_back({name, best});
-    std::printf("%-19s %8.2f M events/s   (vs owned serial %.2fx)\n",
-                name.c_str(), best / 1e6, best / owned_best);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("hardware threads: %u%s\n", hw,
-              hw >= 4 ? "" : " (parallel points are overhead-only here)");
-
-  // Best-of-1 smoke runs are too noise-prone to gate on (a background
-  // compile can swing a 10% margin); the guard arms at >= 3 rounds, which
-  // the default configuration and the CI bench job both use.
-  bool failed = false;
-  if (opt.rounds >= 3 && owned_best < 0.90 * unowned_best) {
-    std::fprintf(stderr,
-                 "FAIL: owner-tagged serial drain %.2f M events/s is more "
-                 "than 10%% below the unowned drain %.2f M events/s\n",
-                 owned_best / 1e6, unowned_best / 1e6);
-    failed = true;
+      best = std::max(best, w.run(opt.events, opt.reps));
+    results.push_back({w.name, best});
+    std::printf("%-16s %8.2f M events/s\n", w.name, best / 1e6);
   }
 
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
@@ -429,17 +251,18 @@ int main(int argc, char** argv) {
                  std::strerror(errno));
     return 1;
   }
+  const std::string stamp = e2efa::bench_stamp_json();
   std::fprintf(f, "[\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     std::fprintf(f,
                  "  {\"name\": \"%s\", \"events_per_sec\": %.0f, "
-                 "\"ns_per_event\": %.3f}%s\n",
+                 "\"ns_per_event\": %.3f, \"stamp\": %s}%s\n",
                  results[i].name.c_str(), results[i].events_per_sec,
-                 1e9 / results[i].events_per_sec,
+                 1e9 / results[i].events_per_sec, stamp.c_str(),
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
   std::printf("wrote %s\n", opt.out.c_str());
-  return failed ? 1 : 0;
+  return 0;
 }

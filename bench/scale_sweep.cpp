@@ -21,21 +21,16 @@
 //                 subflows, re-derive only the dirtied clique
 //                 neighborhood, heal it again (2 updates per round).
 //   solve_s       distributed phase 1, sampled: knowledge build (steps
-//                 1-2, all nodes — shared state) plus steps 3-5 for
+//                 1-2, all nodes — shared state) plus steps 3-6 for
 //                 kSolveSample sources spread over the flow id space:
 //                 local cliques per path node, constraint accumulation,
-//                 and the source's *pass-1* local LP (maximize total
-//                 share over clique rows + basic-share floors). The
-//                 balanced (lexicographic max-min) refinement is
-//                 excluded: it solves one LP per free variable per
-//                 level — O(vars²) dense simplex solves, hours at the
-//                 ~1000-variable local problems city-scale density
-//                 produces — and is the offline oracle's tie-breaking
-//                 post-pass, not part of the scaling path this sweep
-//                 measures. In deployment every source solves
-//                 concurrently, so the scaling figure is the per-source
-//                 mean (solve_per_flow_s), not a serialized sum over
-//                 100k flows — which is why the sweep samples instead of
+//                 and the product's solve_local_problem — the source's
+//                 local LP with its balanced (lexicographic max-min)
+//                 refinement, exactly what distributed_allocate runs per
+//                 flow. In deployment every source solves concurrently,
+//                 so the scaling figure is the per-source mean
+//                 (solve_per_flow_s), not a serialized sum over 100k
+//                 flows — which is why the sweep samples instead of
 //                 calling distributed_allocate outright.
 //   sim_s         run_scenario, plain 802.11 DCF for sim_seconds of
 //                 simulated time: exercises the event engine / channel /
@@ -46,12 +41,9 @@
 //   clique_tN_s   full clique enumeration with the store's thread budget
 //                 set to N (default curve 2/4/8; --threads overrides) —
 //                 id-identical output, only wall-clock moves.
-//   sim_tN_s      the packet sim under SimConfig::sim_threads = N (the
-//                 conservative parallel engine); the RunResult is checked
-//                 bit-identical against the serial run as a free parity
-//                 spot-check. On a full default sweep the 10k point must
-//                 show a >= 2x combined speedup at 4 threads — enforced
-//                 only when the machine has >= 4 hardware threads.
+//                 On a full default sweep the 10k point must show a
+//                 >= 2x speedup at 4 threads — enforced only when the
+//                 machine has >= 4 hardware threads.
 //
 // Guard (same idiom as micro_events / micro_ctrl): at the default sizes,
 // the 1k-node point's scalable-path total (neighbor_s + contention_s +
@@ -74,12 +66,12 @@
 #include <thread>
 #include <vector>
 
+#include "alloc/distributed.hpp"
 #include "alloc/knowledge.hpp"
+#include "bench_stamp.hpp"
 #include "contention/clique_store.hpp"
 #include "contention/cliques.hpp"
 #include "contention/contention_graph.hpp"
-#include "lp/problem.hpp"
-#include "lp/simplex.hpp"
 #include "net/runner.hpp"
 #include "net/scenario_gen.hpp"
 
@@ -112,17 +104,16 @@ constexpr double kBaselineGuardTotalS = 20.94;
 // out the noise without dominating the point's wall-clock.
 constexpr int kDeltaRounds = 5;
 // Default number of sources sampled by the solve phase. Per-source cost
-// is dominated by deriving each path node's local cliques plus one pass-1
-// simplex solve (~1000 variables at saturated density — fractions of a
-// second each), so eight sources report a stable mean without the phase
-// dominating the point's wall-clock.
+// is dominated by deriving each path node's local cliques plus the local
+// LP and its refinement (~1000 variables at saturated density), so eight
+// sources report a stable mean without the phase dominating the point's
+// wall-clock.
 constexpr int kSolveSample = 8;
 
 // Thread counts for the multi-core scaling curve: the clique build re-runs
-// with the store's enumeration budget set to each count, and the packet
-// sim re-runs with SimConfig::sim_threads (the conservative parallel
-// engine; bit-identical results, only wall-clock moves). --threads
-// overrides, "0" disables the curve.
+// with the store's enumeration budget set to each count (id-identical
+// results, only wall-clock moves). --threads overrides, "0" disables the
+// curve.
 constexpr int kDefaultThreadCurve[] = {2, 4, 8};
 
 struct Options {
@@ -149,8 +140,7 @@ struct Options {
                "  --tolerance F     max allowed regression vs baseline "
                "(default 0.10)\n"
                "  --threads LIST    comma-separated thread counts for the\n"
-               "                    clique/sim scaling curve (default "
-               "2,4,8;\n"
+               "                    clique scaling curve (default 2,4,8;\n"
                "                    0 disables)\n"
                "  --out PATH        JSON output (default BENCH_scale.json)\n",
                prog, kSolveSample);
@@ -241,12 +231,12 @@ struct PointResult {
   double sim_s = 0.0;
   double rss_mb = 0.0;
   /// Multi-core scaling curve: (threads, wall-clock seconds) per measured
-  /// thread count, for the full clique enumeration and the packet sim.
-  /// The t = 1 references are clique_s / sim_s above.
+  /// thread count for the full clique enumeration. The t = 1 reference is
+  /// clique_s above.
   std::vector<std::pair<int, double>> clique_threads_s;
-  std::vector<std::pair<int, double>> sim_threads_s;
-  /// False when a multi-threaded sim diverged from the serial result — the
-  /// engine's bit-identity contract, spot-checked here for free.
+  /// False when a multi-threaded enumeration found a different clique
+  /// count than the serial one — the store's parity contract, spot-checked
+  /// here for free.
   bool thread_parity_ok = true;
   /// The layers the scaling rework owns: grid-backed neighbor build,
   /// sparse contention graph, from-scratch clique enumeration, and the
@@ -361,13 +351,11 @@ PointResult measure(const SizeSpec& spec, int solve_sample,
 
   // Distributed phase 1, sampled. Steps 1-2 (overhear + exchange) build
   // the shared knowledge state for every node; then kSolveSample sources
-  // spread over the flow id space run steps 3-5 — local cliques of each
-  // path node derived lazily (and cached: sampled paths overlap), then
-  // the source's pass-1 local LP (see the solve_s note in the file-top
-  // comment for why the balanced refinement is excluded).
-  // distributed_allocate would serialize work that deployment runs
-  // concurrently per source, so the per-source mean is the scaling
-  // figure.
+  // spread over the flow id space run steps 3-6 — local cliques of each
+  // path node derived lazily (and cached: sampled paths overlap), then the
+  // product's solve_local_problem. distributed_allocate would serialize
+  // work that deployment runs concurrently per source, so the per-source
+  // mean is the scaling figure.
   t0 = now_s();
   const std::vector<std::vector<int>> own = overheard_subflow_sets(sc.topo, flows);
   const std::vector<std::vector<int>> knowledge = exchanged_knowledge(sc.topo, own);
@@ -391,49 +379,10 @@ PointResult measure(const SizeSpec& spec, int solve_sample,
       }
       for (const auto& c : node_cliques[static_cast<std::size_t>(v)]) cliques.insert(c);
     }
-    // Pass-1 local LP: variables are the flows in any accumulated
-    // clique; objective maximizes total share; floors are the local
-    // basic shares from the source's two-hop knowledge; one <=1 row per
-    // distinct clique (rows deduplicated after flow-level projection).
-    std::set<FlowId> vars_set;
-    vars_set.insert(fid);
-    for (const auto& c : cliques)
-      for (int s : c) vars_set.insert(flows.subflow(s).flow);
-    const std::vector<FlowId> vars(vars_set.begin(), vars_set.end());
-    const int k = static_cast<int>(vars.size());
-    double denom = 0.0;
-    {
-      std::set<FlowId> known;
-      for (int s : knowledge[static_cast<std::size_t>(fl.source())])
-        known.insert(flows.subflow(s).flow);
-      for (FlowId j : known)
-        denom += flows.flow(j).weight * virtual_length(flows.flow(j).length());
-    }
-    LpProblem p(k);
-    for (int v = 0; v < k; ++v) {
-      p.set_objective(v, 1.0);
-      p.set_lower_bound(
-          v, flows.flow(vars[static_cast<std::size_t>(v)]).weight / denom);
-    }
-    std::set<std::vector<double>> rows;
-    for (const auto& c : cliques) {
-      std::vector<double> row(static_cast<std::size_t>(k), 0.0);
-      for (int s : c) {
-        const FlowId j = flows.subflow(s).flow;
-        const auto pos =
-            std::lower_bound(vars.begin(), vars.end(), j) - vars.begin();
-        row[static_cast<std::size_t>(pos)] += 1.0;
-      }
-      rows.insert(std::move(row));
-    }
-    for (const auto& row : rows)
-      p.add_constraint(std::vector<double>(row), Relation::kLessEq, 1.0);
-    const LpSolution sol = solve_lp(p);
-    const auto fpos =
-        std::lower_bound(vars.begin(), vars.end(), fid) - vars.begin();
-    share_sum += sol.status == LpStatus::kOptimal
-                     ? sol.x[static_cast<std::size_t>(fpos)]
-                     : fl.weight / denom;  // local basic share fallback
+    share_sum += solve_local_problem(
+                     flows, fid, {cliques.begin(), cliques.end()},
+                     knowledge[static_cast<std::size_t>(fl.source())])
+                     .flow_share;
   }
   r.solve_s = now_s() - t0;
   r.solve_per_flow_s = (r.solve_s - knowledge_s) / r.solve_flows;
@@ -449,20 +398,6 @@ PointResult measure(const SizeSpec& spec, int solve_sample,
   phase_done("sim", r.sim_s);
   if (run.sim_seconds <= 0.0) std::abort();
 
-  // Thread curve for the packet sim: same scenario and seed under the
-  // conservative parallel engine. The RunResult must be bit-identical —
-  // checked here as a free parity spot-check on a topology far larger
-  // than the unit suite's.
-  for (const int t : threads) {
-    SimConfig par = cfg;
-    par.sim_threads = t;
-    t0 = now_s();
-    const RunResult pr = run_scenario(sc, Protocol::k80211, par);
-    r.sim_threads_s.emplace_back(t, now_s() - t0);
-    if (!(pr == run)) r.thread_parity_ok = false;
-    std::printf("  sim@%dt %.3fs", t, r.sim_threads_s.back().second);
-    std::fflush(stdout);
-  }
   std::printf("\n");
 
   r.rss_mb = peak_rss_mb();
@@ -502,6 +437,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "[\n");
 
+  const std::string stamp = bench_stamp_json();
   bool failed = false;
   std::vector<PointResult> results;
   for (const SizeSpec& spec : sizes) {
@@ -522,22 +458,21 @@ int main(int argc, char** argv) {
         "\"delta_removed_mean\": %.2f, \"delta_added_mean\": %.2f, "
         "\"solve_s\": %.6f, \"solve_flows\": %d, \"solve_per_flow_s\": %.6f, "
         "\"sim_seconds\": %.2f, \"sim_s\": %.6f, "
-        "\"peak_rss_mb\": %.1f",
+        "\"peak_rss_mb\": %.1f, \"stamp\": %s",
         r.nodes, r.nodes, r.flows, r.subflows,
         static_cast<long long>(r.contention_edges), r.clique_count, r.gen_s,
         r.neighbor_s, r.contention_s, r.clique_s, r.delta_total_s,
         r.delta_mean_s, r.delta_removed_mean, r.delta_added_mean, r.solve_s,
-        r.solve_flows, r.solve_per_flow_s, r.sim_seconds, r.sim_s, r.rss_mb);
+        r.solve_flows, r.solve_per_flow_s, r.sim_seconds, r.sim_s, r.rss_mb,
+        stamp.c_str());
     for (const auto& [t, s] : r.clique_threads_s)
       std::fprintf(f, ", \"clique_t%d_s\": %.6f", t, s);
-    for (const auto& [t, s] : r.sim_threads_s)
-      std::fprintf(f, ", \"sim_t%d_s\": %.6f", t, s);
     std::fprintf(f, "},\n");
     std::fflush(f);
     if (!r.thread_parity_ok) {
       std::fprintf(stderr,
-                   "FAIL: %d-node point: multi-threaded run diverged from "
-                   "the serial result (bit-identity contract broken)\n",
+                   "FAIL: %d-node point: multi-threaded clique enumeration "
+                   "diverged from the serial result\n",
                    r.nodes);
       failed = true;
     }
@@ -559,25 +494,22 @@ int main(int argc, char** argv) {
   }
 
   // --- Multi-core speedup guard (full sweep, multi-core hardware only). --
-  // The acceptance point: at 10k nodes the parallelizable phases (full
-  // clique enumeration + packet sim) must run >= 2x faster at 4 threads
-  // than serially. Only enforceable where 4 hardware threads exist — on
-  // smaller machines the curve is still emitted but the guard is skipped
-  // with an honest note (a 1-core box legitimately runs threads *slower*).
+  // The acceptance point: at 10k nodes the full clique enumeration must
+  // run >= 2x faster at 4 threads than serially. Only enforceable where 4
+  // hardware threads exist — on smaller machines the curve is still
+  // emitted but the guard is skipped with an honest note (a 1-core box
+  // legitimately runs threads *slower*).
   const unsigned hw = std::thread::hardware_concurrency();
   if (guard && !opt.quick) {
     const PointResult& top = results.back();
-    double clique_t4 = 0.0, sim_t4 = 0.0;
+    double clique_t4 = 0.0;
     for (const auto& [t, s] : top.clique_threads_s)
       if (t == 4) clique_t4 = s;
-    for (const auto& [t, s] : top.sim_threads_s)
-      if (t == 4) sim_t4 = s;
-    if (clique_t4 > 0.0 && sim_t4 > 0.0) {
-      const double speedup =
-          (top.clique_s + top.sim_s) / (clique_t4 + sim_t4);
-      std::printf("10k-node parallel-phase speedup at 4 threads: %.2fx "
-                  "(clique %.1fs -> %.1fs, sim %.1fs -> %.1fs)\n",
-                  speedup, top.clique_s, clique_t4, top.sim_s, sim_t4);
+    if (clique_t4 > 0.0) {
+      const double speedup = top.clique_s / clique_t4;
+      std::printf("10k-node clique speedup at 4 threads: %.2fx "
+                  "(%.1fs -> %.1fs)\n",
+                  speedup, top.clique_s, clique_t4);
       if (hw >= 4 && speedup < 2.0) {
         std::fprintf(stderr,
                      "FAIL: 4-thread speedup %.2fx at the %d-node point is "
@@ -616,9 +548,9 @@ int main(int argc, char** argv) {
                "  {\"name\": \"scale_guard\", \"guarded\": %s, "
                "\"guard_total_s\": %.6f, \"baseline_s\": %.6f, "
                "\"tolerance\": %.2f, \"neighbor_exponent\": %.3f, "
-               "\"clique_exponent\": %.3f}\n]\n",
+               "\"clique_exponent\": %.3f, \"stamp\": %s}\n]\n",
                guard ? "true" : "false", guard_total, kBaselineGuardTotalS,
-               opt.tolerance, nbr_exp, clique_exp);
+               opt.tolerance, nbr_exp, clique_exp, stamp.c_str());
   std::fclose(f);
   std::printf("wrote %s%s\n", opt.out.c_str(),
               guard ? "" : " (custom --nodes point: baseline guard skipped)");

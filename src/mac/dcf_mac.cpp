@@ -114,7 +114,7 @@ void DcfMac::arm_step() {
   step_counts_ = true;
   if (k == 1) {
     // A tick chain schedules its first tick at arm time, too.
-    step_event_ = sim_.schedule_at_owned(step_time_, self_, [this] { on_expiry(); });
+    step_event_ = sim_.schedule_at(step_time_, [this] { on_expiry(); });
     return;
   }
   // A tick chain schedules T from the tick at T - slot. Rank k - 1 orders
@@ -125,7 +125,7 @@ void DcfMac::arm_step() {
   const auto rank = std::min<std::uint64_t>(static_cast<std::uint64_t>(k - 1),
                                             Simulator::kMaxRank - 1);
   step_event_ = sim_.schedule_keyed(step_time_, step_time_ - cfg_.slot, rank,
-                                    self_, [this] { on_expiry(); });
+                                    [this] { on_expiry(); });
 }
 
 void DcfMac::on_expiry() {
@@ -169,7 +169,7 @@ void DcfMac::on_virtual_busy_raised() {
   sim_.cancel(step_event_);
   step_time_ = seg_first_;
   step_counts_ = false;
-  step_event_ = sim_.schedule_at_owned(seg_first_, self_, [this] { on_expiry(); });
+  step_event_ = sim_.schedule_at(seg_first_, [this] { on_expiry(); });
 }
 
 void DcfMac::on_medium_busy() {
@@ -210,14 +210,14 @@ void DcfMac::send_rts() {
   const int cts_budget =
       cfg_.sizes.cts + (piggyback_ != nullptr ? cfg_.ctrl_piggyback_max : 0);
   const TimeNs deadline = end + cfg_.sifs + dur(cts_budget) + 2 * cfg_.slot;
-  timeout_event_ = sim_.schedule_at_owned(deadline, self_, [this] { on_timeout(); });
+  timeout_event_ = sim_.schedule_at(deadline, [this] { on_timeout(); });
 }
 
 void DcfMac::on_cts(const Frame&) {
   sim_.cancel(timeout_event_);
   timeout_event_ = Simulator::kInvalidEvent;
   state_ = State::kSendData;
-  sim_.schedule_in_owned(cfg_.sifs, self_, [this] { send_data(); });
+  sim_.schedule_in(cfg_.sifs, [this] { send_data(); });
 }
 
 void DcfMac::send_data() {
@@ -234,7 +234,7 @@ void DcfMac::send_data() {
   ++stats_.data_sent;
   state_ = State::kWaitAck;
   const TimeNs deadline = end + cfg_.sifs + dur(cfg_.sizes.ack) + 2 * cfg_.slot;
-  timeout_event_ = sim_.schedule_at_owned(deadline, self_, [this] { on_timeout(); });
+  timeout_event_ = sim_.schedule_at(deadline, [this] { on_timeout(); });
 }
 
 void DcfMac::on_ack(const Frame& f) {
@@ -293,7 +293,7 @@ void DcfMac::send_ctrl_frame() {
   ++stats_.ctrl_sent;
   state_ = State::kTxCtrl;
   backoff_drawn_ = false;
-  sim_.schedule_at_owned(end, self_, [this] {
+  sim_.schedule_at(end, [this] {
     if (state_ != State::kTxCtrl) return;
     state_ = State::kIdle;
     if (has_work()) start_access(/*redraw=*/true);
@@ -314,7 +314,7 @@ void DcfMac::on_rts(const Frame& f) {
   rx_tag_subflow_ = f.tag_subflow;
   rx_nav_remaining_ = f.nav;
 
-  sim_.schedule_in_owned(cfg_.sifs, self_, [this] {
+  sim_.schedule_in(cfg_.sifs, [this] {
     if (state_ != State::kRxExchange) return;
     Frame cts;
     cts.type = FrameType::kCts;
@@ -331,7 +331,7 @@ void DcfMac::on_rts(const Frame& f) {
     ++stats_.cts_sent;
     // If the DATA never materializes, abandon the exchange.
     const TimeNs deadline = end + cts.nav + cfg_.slot;
-    timeout_event_ = sim_.schedule_at_owned(deadline, self_, [this] {
+    timeout_event_ = sim_.schedule_at(deadline, [this] {
       timeout_event_ = Simulator::kInvalidEvent;
       end_rx_exchange();
     });
@@ -366,11 +366,11 @@ void DcfMac::on_data(const Frame& f) {
     ack.has_service_tag = true;
   }
   if (tags_ != nullptr) ack.ack_backoff_r = tags_->r_slots_for(f.packet->subflow, sim_.now());
-  sim_.schedule_in_owned(cfg_.sifs, self_, [this, ack] {
+  sim_.schedule_in(cfg_.sifs, [this, ack] {
     if (state_ != State::kRxExchange) return;
     const TimeNs end = channel_.transmit(self_, ack);
     ++stats_.ack_sent;
-    sim_.schedule_at_owned(end, self_, [this] { end_rx_exchange(); });
+    sim_.schedule_at(end, [this] { end_rx_exchange(); });
   });
 }
 

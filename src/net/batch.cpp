@@ -40,12 +40,12 @@ std::vector<RunResult> BatchRunner::run(const std::vector<Job>& jobs) const {
   };
 
   // Compose the two parallelism axes: when the pool size was auto-selected,
-  // budget hardware threads across seeds × threads-per-sim instead of
+  // budget hardware threads across seeds × threads-per-run instead of
   // oversubscribing by their product.
   int pool_cap = jobs_;
   if (auto_jobs_) {
     int per_job = 1;
-    for (const Job& j : jobs) per_job = std::max(per_job, j.config.sim_threads);
+    for (const Job& j : jobs) per_job = std::max(per_job, j.config.clique_threads);
     pool_cap = std::max(1, jobs_ / per_job);
   }
   const std::size_t workers =

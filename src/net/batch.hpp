@@ -33,11 +33,11 @@ class BatchRunner {
   /// jobs <= 0 selects std::thread::hardware_concurrency(); jobs == 1 runs
   /// inline on the calling thread (no pool).
   ///
-  /// Thread budget composition: each job may itself parallelize its
-  /// simulation (SimConfig::sim_threads). With an auto-selected pool
+  /// Thread budget composition: each job may itself parallelize its clique
+  /// enumeration (SimConfig::clique_threads). With an auto-selected pool
   /// (jobs <= 0), `run` divides the hardware budget by the largest
-  /// sim_threads among the submitted jobs, so seeds × threads-per-sim stays
-  /// at about hardware_concurrency. An explicit jobs count is taken
+  /// clique_threads among the submitted jobs, so seeds × threads-per-run
+  /// stays at about hardware_concurrency. An explicit jobs count is taken
   /// literally — the caller owns the multiplication. Results are identical
   /// either way; only wall-clock changes.
   explicit BatchRunner(int jobs = 1);

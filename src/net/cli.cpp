@@ -40,9 +40,9 @@ std::string cli_usage() {
       "  --alpha A       2PA tag-backoff strictness (default 1e-4)\n"
       "  --seed N        RNG seed (default 1)\n"
       "  --queue N       per-queue capacity (default 50)\n"
-      "  --sim-threads N executor threads inside the simulation (conservative\n"
-      "                  parallel DES; default 1 = serial). Any value yields a\n"
-      "                  bit-identical result; threads only change wall-clock\n"
+      "  --clique-threads N  threads for clique enumeration in the centralized\n"
+      "                  protocols (default 1). Any value yields a bit-identical\n"
+      "                  result; threads only change wall-clock\n"
       "  --loss P        default per-link packet-error rate in [0,1] (default 0)\n"
       "  --shares        also print phase-1 target shares\n"
       "  --check         arm every invariant oracle (src/check); violations\n"
@@ -125,10 +125,10 @@ std::optional<CliOptions> parse_cli(int argc, const char* const* argv,
       }
     } else if (arg == "--alpha") {
       opt.config.alpha = std::atof(value->c_str());
-    } else if (arg == "--sim-threads") {
-      opt.config.sim_threads = std::atoi(value->c_str());
-      if (opt.config.sim_threads < 1) {
-        *error = "--sim-threads must be >= 1";
+    } else if (arg == "--clique-threads") {
+      opt.config.clique_threads = std::atoi(value->c_str());
+      if (opt.config.clique_threads < 1) {
+        *error = "--clique-threads must be >= 1";
         return std::nullopt;
       }
     } else if (arg == "--seed") {

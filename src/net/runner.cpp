@@ -456,10 +456,9 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
     // Start all-inactive: epoch 0's set_active seeds the first enumeration.
     clique_store = std::make_unique<CliqueStore>(
         *sim_graph, std::vector<char>(static_cast<std::size_t>(flows.subflow_count()), 0));
-    // The sim-thread budget doubles as the clique-enumeration budget: the
-    // store's parallel path is id-identical to serial, so this never
-    // changes results (see CliqueStore::set_threads).
-    clique_store->set_threads(cfg.sim_threads);
+    // The store's parallel path is id-identical to serial, so the thread
+    // budget never changes results (see CliqueStore::set_threads).
+    clique_store->set_threads(cfg.clique_threads);
   }
   std::vector<EpochAllocation> epochs;
   std::vector<std::vector<FlowId>> epoch_active_flows;
@@ -606,12 +605,8 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
                                                  master.split(), tags));
     stacks.back()->set_trace(trace);
     stacks.back()->set_check(check);
-    stacks.back()->set_link_failure_listener([&link_failures](const Packet&,
-                                                              TimeNs) {
-      // Relaxed atomic: in parallel mode footprint-disjoint MAC events may
-      // drop packets concurrently, and the total is order-independent.
-      __atomic_fetch_add(&link_failures, 1, __ATOMIC_RELAXED);
-    });
+    stacks.back()->set_link_failure_listener(
+        [&link_failures](const Packet&, TimeNs) { ++link_failures; });
   }
 
   // ---- In-band control plane: one AllocAgent per node, wired into its
@@ -834,12 +829,8 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
     };
     std::unique_ptr<TransportSource> src;
     if (!elastic) {
-      auto cbr = std::make_unique<CbrTransport>(sim, cfg.cbr_pps, cfg.payload_bytes,
-                                                std::move(emit), master);
-      // Tick events own the source node: emission touches only the source
-      // stack (and, transitively, its interference neighborhood).
-      cbr->set_owner(static_cast<std::int32_t>(logical.flow(f).source()));
-      src = std::move(cbr);
+      src = std::make_unique<CbrTransport>(sim, cfg.cbr_pps, cfg.payload_bytes,
+                                           std::move(emit), master);
     } else if (sc.transport == TransportKind::kAimd) {
       src = std::make_unique<AimdTransport>(sim, tcfg, cfg.payload_bytes,
                                             std::move(emit), master, f,
@@ -1068,37 +1059,10 @@ RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
 
   setup_prof.reset();  // everything below run_until accrues to the sim phase
 
-  // ---- Conservative parallel DES. Safe whenever every event either (a)
-  // carries a node owner and touches only {owner} ∪ I(owner) — MAC timers,
-  // PHY end-of-frame fan-outs, CBR ticks — or (b) is a global-owner serial
-  // barrier (epoch boundaries, samplers, source starts). What disqualifies
-  // a run is an *order-sensitive shared observer*: trace sinks and check
-  // contexts log from node events in firing order, fault plans share a
-  // loss-RNG stream and an ordered recovery listener, the in-band control
-  // plane and the elastic ACK plane keep cross-node protocol state, and the
-  // profiler's phase scopes nest per-thread. Those runs honor the knob but
-  // execute serially — which, by the engine's construction, produces the
-  // identical RunResult anyway. ----
-  const bool parallel_safe = cfg.sim_threads > 1 && trace == nullptr &&
-                             check == nullptr && cfg.profile == nullptr &&
-                             plan.empty() && !dctrl && !elastic;
-  if (parallel_safe) {
-    ParallelPlan pplan;
-    pplan.footprint.resize(static_cast<std::size_t>(sc.topo.node_count()));
-    for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
-      auto& fp = pplan.footprint[static_cast<std::size_t>(n)];
-      const auto& nbrs = sc.topo.interference_neighbors(n);
-      fp.reserve(nbrs.size() + 1);
-      fp.push_back(static_cast<std::int32_t>(n));
-      for (NodeId r : nbrs) fp.push_back(static_cast<std::int32_t>(r));
-    }
-    sim.enable_parallel(std::move(pplan), cfg.sim_threads);
-  }
   {
     Profiler::Scope prof(cfg.profile, Profiler::Phase::kSim);
     sim.run_until(horizon);
   }
-  if (parallel_safe) sim.disable_parallel();
   if (multi) snapshot_epoch();  // close the final epoch
 
   // Close the conservation ledger against what is still buffered.

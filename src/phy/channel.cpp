@@ -66,26 +66,22 @@ void Channel::release_tx_slot(std::uint32_t slot) {
 TimeNs Channel::transmit(NodeId sender, Frame frame) {
   E2EFA_ASSERT_MSG(!transmitting(sender), "node is already transmitting");
   E2EFA_ASSERT(frame.bytes > 0);
-  sim_.note_touch(static_cast<std::int32_t>(sender));
   frame.tx = sender;
   const TimeNs now = sim_.now();
   const TimeNs duration = frame_duration(frame.bytes);
   const TimeNs end = now + duration;
-  // Atomic: concurrent footprint-disjoint transmits each get a unique id.
-  // The values may differ between thread counts, but ids are only ever
-  // compared for equality within one transmission's lifetime.
-  const std::uint64_t tx_id = __atomic_fetch_add(&next_tx_id_, 1, __ATOMIC_RELAXED);
+  const std::uint64_t tx_id = next_tx_id_++;
 
   // A crashed sender's radio deposits no energy anywhere: the frame occupies
   // the node's own transmitter (so its MAC state machine runs as usual and
   // the backlog drains through retry-limit drops) but is invisible on air.
   const bool silent = faults_ != nullptr && !faults_->node_up(sender);
   if (silent) {
-    bump(stats_.frames_faulted);
-    bump(stats_.faulted_dead);
+    ++stats_.frames_faulted;
+    ++stats_.faulted_dead;
   } else {
-    bump(stats_.frames_transmitted);
-    bump(stats_.airtime_ns, static_cast<std::uint64_t>(duration));
+    ++stats_.frames_transmitted;
+    stats_.airtime_ns += static_cast<std::uint64_t>(duration);
   }
   // The transmission's causal span: rx/collision/fault records at
   // end-of-frame chain to it, and for control frames it chains onward to
@@ -111,17 +107,19 @@ TimeNs Channel::transmit(NodeId sender, Frame frame) {
   }
 
   if (!silent) {
-    for (NodeId r : topo_.interference_neighbors(sender)) {
-      sim_.note_touch(static_cast<std::int32_t>(r));
+    const std::vector<NodeId>& hearers = topo_.interference_neighbors(sender);
+    const char* links = topo_.interference_links(sender);
+    for (std::size_t i = 0; i < hearers.size(); ++i) {
+      const NodeId r = hearers[i];
       NodeState& s = state(r);
-      bool decodable = topo_.has_link(sender, r);
+      bool decodable = links[i] != 0;
       if (decodable && faults_ != nullptr &&
           (!faults_->node_up(r) || !faults_->link_up(sender, r))) {
         // Dead receiver or downed link: the frame is energy without frame
         // sync — it can interfere but never starts a decode.
         decodable = false;
-        bump(stats_.frames_faulted);
-        bump(stats_.faulted_dead);
+        ++stats_.frames_faulted;
+        ++stats_.faulted_dead;
         if (trace_ != nullptr)
           trace_->record<TraceCat::kPhy>(now, TraceEvent::kFrameFaulted,
                                          static_cast<std::int16_t>(r), 0, sender,
@@ -141,9 +139,6 @@ TimeNs Channel::transmit(NodeId sender, Frame frame) {
 
   // One end-of-frame event for the whole transmission; it visits the sender
   // and then the neighbors in the same order the per-neighbor events fired.
-  // The event is owned by the sender: its synchronous reach is exactly
-  // {sender} ∪ I(sender), the footprint the parallel plan declares.
-  lock_tx_pool();
   const std::uint32_t slot = acquire_tx_slot();
   Transmission& t = tx_pool_[slot];
   t.frame = std::move(frame);
@@ -151,9 +146,7 @@ TimeNs Channel::transmit(NodeId sender, Frame frame) {
   t.tx_id = tx_id;
   t.silent = silent;
   t.span = tx_span;
-  unlock_tx_pool();
-  sim_.schedule_at_owned(end, static_cast<std::int32_t>(sender),
-                         [this, slot] { finish_transmission(slot); });
+  sim_.schedule_at(end, [this, slot] { finish_transmission(slot); });
   return end;
 }
 
@@ -161,21 +154,17 @@ void Channel::finish_transmission(std::uint32_t slot) {
   Profiler::Scope prof(profiler_, Profiler::Phase::kPhy);
   // Move the record out before any listener runs: a listener could (in
   // principle) transmit, growing the pool and invalidating references.
-  lock_tx_pool();
   const Frame frame = std::move(tx_pool_[slot].frame);
   const std::uint64_t tx_id = tx_pool_[slot].tx_id;
   const TimeNs end = tx_pool_[slot].end;
   const bool silent = tx_pool_[slot].silent;
   const std::uint32_t tx_span = tx_pool_[slot].span;
   release_tx_slot(slot);
-  unlock_tx_pool();
   const NodeId sender = frame.tx;
 
-  sim_.note_touch(static_cast<std::int32_t>(sender));
   update_busy(sender);
   if (silent) return;  // no energy was deposited; nothing to undo
   for (NodeId r : topo_.interference_neighbors(sender)) {
-    sim_.note_touch(static_cast<std::int32_t>(r));
     NodeState& s = state(r);
     --s.interferers;
     E2EFA_ASSERT(s.interferers >= 0);
@@ -187,8 +176,8 @@ void Channel::finish_transmission(std::uint32_t slot) {
       // lossy links are subject to a per-frame error draw.
       if (ok && faults_ != nullptr) {
         if (!faults_->node_up(r) || !faults_->link_up(sender, r)) {
-          bump(stats_.frames_faulted);
-          bump(stats_.faulted_dead);
+          ++stats_.frames_faulted;
+          ++stats_.faulted_dead;
           if (trace_ != nullptr)
             trace_->record<TraceCat::kPhy>(end, TraceEvent::kFrameFaulted,
                                            static_cast<std::int16_t>(r), 0,
@@ -199,8 +188,8 @@ void Channel::finish_transmission(std::uint32_t slot) {
         if (faults_->lossy(sender, r) && faults_->draw_loss(sender, r)) {
           // Channel-error checksum failure: the receiver reacts exactly as
           // to a collision (EIFS), but the loss is accounted separately.
-          bump(stats_.frames_faulted);
-          bump(stats_.faulted_loss);
+          ++stats_.frames_faulted;
+          ++stats_.faulted_loss;
           if (trace_ != nullptr)
             trace_->record<TraceCat::kPhy>(end, TraceEvent::kFrameFaulted,
                                            static_cast<std::int16_t>(r), 1,
@@ -211,7 +200,7 @@ void Channel::finish_transmission(std::uint32_t slot) {
         }
       }
       if (ok) {
-        bump(stats_.frames_delivered);
+        ++stats_.frames_delivered;
         if (trace_ != nullptr)
           trace_->record<TraceCat::kPhy>(
               end, TraceEvent::kFrameRx, static_cast<std::int16_t>(r),
@@ -220,8 +209,8 @@ void Channel::finish_transmission(std::uint32_t slot) {
         if (check_ != nullptr) check_->on_frame_receive(r, frame, end);
         if (s.listener) s.listener->on_frame_received(frame);
       } else {
-        bump(stats_.frames_corrupted);
-        bump(stats_.bytes_corrupted, static_cast<std::uint64_t>(frame.bytes));
+        ++stats_.frames_corrupted;
+        stats_.bytes_corrupted += static_cast<std::uint64_t>(frame.bytes);
         if (trace_ != nullptr)
           trace_->record<TraceCat::kPhy>(end, TraceEvent::kFrameCollision,
                                          static_cast<std::int16_t>(r), -1,

@@ -50,6 +50,22 @@ Topology::Topology(std::vector<Point> positions, double tx_range_m,
         tx.push_back(j);
     });
   }
+  // Link flags: each transmission neighborhood is an ascending subset of
+  // the interference neighborhood, so one merge walk per node marks it.
+  std::size_t total = 0;
+  for (const auto& ifr : if_neighbors_) total += ifr.size();
+  if_links_.reserve(total);
+  if_link_start_.reserve(static_cast<std::size_t>(n));
+  for (NodeId i = 0; i < n; ++i) {
+    if_link_start_.push_back(if_links_.size());
+    const auto& tx = neighbors_[static_cast<std::size_t>(i)];
+    auto next_tx = tx.begin();
+    for (const NodeId j : if_neighbors_[static_cast<std::size_t>(i)]) {
+      const bool link = next_tx != tx.end() && *next_tx == j;
+      if (link) ++next_tx;
+      if_links_.push_back(link ? 1 : 0);
+    }
+  }
 }
 
 void Topology::check_node(NodeId n) const {
@@ -83,6 +99,11 @@ const std::vector<NodeId>& Topology::neighbors(NodeId n) const {
 const std::vector<NodeId>& Topology::interference_neighbors(NodeId n) const {
   check_node(n);
   return if_neighbors_[static_cast<std::size_t>(n)];
+}
+
+const char* Topology::interference_links(NodeId n) const {
+  check_node(n);
+  return if_links_.data() + if_link_start_[static_cast<std::size_t>(n)];
 }
 
 bool Topology::connected() const {

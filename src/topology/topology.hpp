@@ -68,6 +68,12 @@ class Topology {
   /// Nodes within interference range of n (excluding n), ascending ids.
   const std::vector<NodeId>& interference_neighbors(NodeId n) const;
 
+  /// One flag per entry of interference_neighbors(n), in the same order:
+  /// nonzero when that neighbor is also within transmission range, i.e.
+  /// has_link(n, it). Precomputed, so the PHY's per-frame fan-out needs no
+  /// distance test.
+  const char* interference_links(NodeId n) const;
+
   /// True when the connectivity graph is a single connected component.
   bool connected() const;
 
@@ -91,6 +97,10 @@ class Topology {
   SpatialGrid grid_;
   std::vector<std::vector<NodeId>> neighbors_;
   std::vector<std::vector<NodeId>> if_neighbors_;
+  /// interference_links of every node, concatenated; node n's flags start
+  /// at if_link_start_[n].
+  std::vector<char> if_links_;
+  std::vector<std::size_t> if_link_start_;
   std::vector<std::string> labels_;
 };
 

@@ -24,11 +24,6 @@ class CbrSource {
   /// Starts generation; packets are produced until `until`.
   void start(TimeNs until);
 
-  /// Declares the node whose stack `emit` injects into. Tick events are
-  /// then owned by that node, letting the parallel drain run sources at
-  /// far-apart nodes concurrently. Default: global owner (serial barrier).
-  void set_owner(std::int32_t owner) { owner_ = owner; }
-
   std::int64_t generated() const { return seq_; }
 
  private:
@@ -40,7 +35,6 @@ class CbrSource {
   std::function<void(Packet)> emit_;
   TimeNs phase_ = 0;
   TimeNs until_ = 0;
-  std::int32_t owner_ = Simulator::kGlobalOwner;
   std::int64_t seq_ = 0;
 };
 

@@ -29,6 +29,7 @@
 #include "net/scenarios.hpp"
 #include "obs/trace.hpp"
 #include "run_result_testing.hpp"
+#include "util/rng.hpp"
 
 namespace e2efa {
 namespace {
@@ -248,7 +249,7 @@ TEST(EventBudget, Scenario2AtMostFourEventsPerFrame) {
 }
 
 // Full-field equality, including bitwise-compared doubles, lives in
-// run_result_testing.hpp (shared with fault/churn/transport/parallel
+// run_result_testing.hpp (shared with fault/churn/transport
 // tests): determinism means *identical*, not merely close.
 
 TEST(Determinism, SameSeedSameResultAllProtocols) {
@@ -266,27 +267,19 @@ TEST(Determinism, SameSeedSameResultAllProtocols) {
   }
 }
 
-// Intra-sim thread sweep: SimConfig::sim_threads parallelizes event
-// execution *inside* one simulation (conservative batching over
-// interference-disjoint owners) and must be invisible in the results —
-// the golden trajectories above stay bit-identical at any thread count.
-// tests/parallel_engine_test.cpp is the full parity suite; this folds the
-// sweep into the golden table itself.
-TEST(Determinism, GoldensHoldAtAnySimThreadCount) {
-  const Scenario sc = scenario1();
-  for (int threads : {2, 8}) {
-    SimConfig cfg = golden_config();
-    cfg.sim_threads = threads;
-    for (const Golden& g : kGolden) {
-      SCOPED_TRACE(testing::Message()
-                   << to_string(g.protocol) << " sim_threads=" << threads);
-      const RunResult r = run_scenario(sc, g.protocol, cfg);
-      EXPECT_EQ(r.delivered_per_subflow, g.delivered_per_subflow);
-      EXPECT_EQ(r.end_to_end_per_flow, g.end_to_end_per_flow);
-      EXPECT_EQ(r.total_end_to_end, g.total_end_to_end);
-      EXPECT_EQ(r.channel.frames_transmitted, g.frames_transmitted);
-    }
-  }
+// The clique thread budget (SimConfig::clique_threads) parallelizes the
+// centralized protocols' clique enumeration and must be invisible in the
+// results. random:96 carries enough subflows to cross the store's
+// parallel seed threshold.
+TEST(Determinism, CliqueThreadsDoNotChangeTheResult) {
+  Rng rng(11);
+  const Scenario sc = make_named_scenario("random:96", rng);
+  SimConfig cfg;
+  cfg.sim_seconds = 1.0;
+  cfg.seed = 11;
+  const RunResult serial = run_scenario(sc, Protocol::k2paCentralized, cfg);
+  cfg.clique_threads = 4;
+  expect_identical(serial, run_scenario(sc, Protocol::k2paCentralized, cfg));
 }
 
 TEST(Determinism, BatchRunnerMatchesSequential) {

@@ -1,10 +1,10 @@
 // Shared test helper: full-field RunResult equality, bitwise on doubles.
 // Determinism in this codebase means *identical*, not merely close — the
 // same seed must reproduce every counter, share, delay and telemetry value
-// exactly, across reruns, BatchRunner pool sizes and intra-sim thread
+// exactly, across reruns, BatchRunner pool sizes and clique thread
 // counts. This is the single definition; determinism_test, fault_test,
-// churn_test, transport_test and parallel_engine_test all assert through
-// it, so a field added to RunResult only needs one new EXPECT_EQ.
+// churn_test and transport_test all assert through it, so a field added to
+// RunResult only needs one new EXPECT_EQ.
 #pragma once
 
 #include <gtest/gtest.h>

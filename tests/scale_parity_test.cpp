@@ -75,6 +75,10 @@ TEST_P(ScaleParity, TopologyNeighborListsMatchAllPairs) {
     EXPECT_EQ(topo.neighbors(i), brute_tx) << "seed " << GetParam() << " node " << i;
     EXPECT_EQ(topo.interference_neighbors(i), brute_if)
         << "seed " << GetParam() << " node " << i;
+    const char* links = topo.interference_links(i);
+    for (std::size_t k = 0; k < brute_if.size(); ++k)
+      EXPECT_EQ(links[k] != 0, topo.has_link(i, brute_if[k]))
+          << "seed " << GetParam() << " node " << i << " neighbor " << brute_if[k];
   }
 }
 
@@ -219,6 +223,60 @@ TEST_P(ScaleParity, CliqueStoreMatchesFromScratchUnderFaultDeltas) {
     store.set_active(active);
     ASSERT_EQ(store.cliques(), scratch_cliques(g, active))
         << "seed " << GetParam() << " round " << round;
+  }
+}
+
+// ---------- clique thread budget is invisible in the results ----------
+
+// Enough subflows that a full rebuild and a large delta both cross the
+// store's parallel seed threshold (64), so set_threads really fans out.
+TEST(CliqueThreads, StoreIsIdIdenticalAtAnyThreadCount) {
+  constexpr int kSeedThreshold = 64;
+  GenConfig gen;
+  gen.min_nodes = gen.max_nodes = 120;
+  gen.min_flows = gen.max_flows = 60;
+  gen.density_m = 130.0;
+  gen.max_hops = 4;
+  gen.p_faults = 0.0;
+  gen.p_loss = 0.0;
+  const Scenario sc = generate_scenario(3, gen);
+  FlowSet flows(sc.topo, sc.flow_specs);
+  ContentionGraph g(sc.topo, flows);
+  const int m = flows.subflow_count();
+  ASSERT_GE(m, 2 * kSeedThreshold);
+
+  // Activate everything, then drop every other subflow: both steps seed
+  // more than the threshold.
+  std::vector<char> half(static_cast<std::size_t>(m), 1);
+  for (int v = 0; v < m; v += 2) half[static_cast<std::size_t>(v)] = 0;
+  auto build = [&](int threads) {
+    CliqueStore store(g, std::vector<char>(static_cast<std::size_t>(m), 0));
+    store.set_threads(threads);
+    std::vector<CliqueStore::UpdateStats> stats;
+    stats.push_back(store.set_active(std::vector<char>(static_cast<std::size_t>(m), 1)));
+    stats.push_back(store.set_active(half));
+    std::vector<std::vector<int>> by_id;
+    for (int v = 0; v < m; ++v)
+      for (int id : store.cliques_of(v)) {
+        if (by_id.size() <= static_cast<std::size_t>(id))
+          by_id.resize(static_cast<std::size_t>(id) + 1);
+        by_id[static_cast<std::size_t>(id)] = store.clique(id);
+      }
+    return std::make_pair(stats, by_id);
+  };
+  const auto serial = build(1);
+  EXPECT_GE(serial.first[0].seeds, kSeedThreshold);
+  EXPECT_GE(serial.first[1].seeds, kSeedThreshold);
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    const auto par = build(threads);
+    ASSERT_EQ(par.first.size(), serial.first.size());
+    for (std::size_t i = 0; i < par.first.size(); ++i) {
+      EXPECT_EQ(par.first[i].removed, serial.first[i].removed);
+      EXPECT_EQ(par.first[i].added, serial.first[i].added);
+      EXPECT_EQ(par.first[i].seeds, serial.first[i].seeds);
+    }
+    EXPECT_EQ(par.second, serial.second);
   }
 }
 
