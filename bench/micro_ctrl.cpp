@@ -25,7 +25,8 @@
 // The guard fails (exit 1) when any figure regresses more than
 // --tolerance (default 10%) above the recorded baseline. Baselines were
 // captured at the default horizon/seed; running with a different --seconds
-// records the figures but skips the guard.
+// records the figures but skips the guard. Every JSON row carries the
+// machine stamp (bench_stamp.hpp).
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
@@ -35,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_stamp.hpp"
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 #include "obs/trace.hpp"
@@ -196,6 +198,7 @@ int main(int argc, char** argv) {
                  std::strerror(errno));
     return 1;
   }
+  const std::string stamp = bench_stamp_json();
   std::fprintf(f, "[\n");
 
   bool failed = false;
@@ -220,13 +223,13 @@ int main(int argc, char** argv) {
         "\"convergence_s\": %.6f, \"overhead_ratio\": %.6f, "
         "\"ctrl_bytes\": %llu, \"ctrl_frames\": %llu, \"data_bytes\": %llu, "
         "\"solves\": %llu, \"worst_share_error\": %.6f, \"reconv_s\": %.6f, "
-        "\"converged\": %s}%s\n",
+        "\"converged\": %s, \"stamp\": %s}%s\n",
         base.name, opt.seconds, fig.convergence_s, fig.overhead_ratio,
         static_cast<unsigned long long>(fig.ctrl_bytes),
         static_cast<unsigned long long>(fig.ctrl_frames),
         static_cast<unsigned long long>(fig.data_bytes),
         static_cast<unsigned long long>(fig.solves), fig.worst_share_error,
-        fig.reconv_s, fig.converged ? "true" : "false",
+        fig.reconv_s, fig.converged ? "true" : "false", stamp.c_str(),
         i + 1 < kCases ? "," : "");
 
     if (!fig.converged) {

@@ -13,7 +13,8 @@
 // so unrelated machine load hits all modes alike. The run *guards* the
 // zero-overhead claim: `filtered` must be within --tolerance (default 1%)
 // of `off`, else exit 1. The enabled cost is recorded (not guarded) in the
-// JSON output (default BENCH_trace.json).
+// JSON output (default BENCH_trace.json), every row stamped with the
+// machine and build (bench_stamp.hpp).
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_stamp.hpp"
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 #include "obs/trace.hpp"
@@ -138,16 +140,18 @@ int main(int argc, char** argv) {
                  std::strerror(errno));
     return 1;
   }
+  const std::string stamp = bench_stamp_json();
   std::fprintf(f,
                "[\n"
-               "  {\"name\": \"trace_off\", \"seconds\": %.6f},\n"
+               "  {\"name\": \"trace_off\", \"seconds\": %.6f, \"stamp\": %s},\n"
                "  {\"name\": \"trace_filtered\", \"seconds\": %.6f, "
-               "\"overhead_vs_off\": %.4f},\n"
+               "\"overhead_vs_off\": %.4f, \"stamp\": %s},\n"
                "  {\"name\": \"trace_on\", \"seconds\": %.6f, "
-               "\"overhead_vs_off\": %.4f, \"records\": %llu}\n"
+               "\"overhead_vs_off\": %.4f, \"records\": %llu, \"stamp\": %s}\n"
                "]\n",
-               best_off, best_filtered, filtered_overhead, best_on, on_overhead,
-               static_cast<unsigned long long>(on_records));
+               best_off, stamp.c_str(), best_filtered, filtered_overhead, stamp.c_str(),
+               best_on, on_overhead, static_cast<unsigned long long>(on_records),
+               stamp.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", opt.out.c_str());
 

@@ -20,7 +20,8 @@
 // recorded below (one slow or fast run cannot move a median, which a
 // best-of or single run cannot promise). A drop of more than --tolerance
 // (default 10%) under the baseline fails the run. Median absolute rates
-// land in JSON (default BENCH_transport.json) for the historical record.
+// land in JSON (default BENCH_transport.json) for the historical record,
+// every row stamped with the machine and build (bench_stamp.hpp).
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_stamp.hpp"
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 #include "transport/transport.hpp"
@@ -157,6 +159,7 @@ int main(int argc, char** argv) {
                  std::strerror(errno));
     return 1;
   }
+  const std::string stamp = bench_stamp_json();
   std::fprintf(f, "[\n");
   for (std::size_t k = 0; k < kinds.size(); ++k) {
     const double eps = median(results[k].eps);
@@ -166,10 +169,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(results[k].events), ratio);
     std::fprintf(f,
                  "  {\"name\": \"transport_%s\", \"events_per_sec\": %.1f, "
-                 "\"events\": %llu, \"ratio_vs_cbr\": %.4f}%s\n",
+                 "\"events\": %llu, \"ratio_vs_cbr\": %.4f, \"stamp\": %s}%s\n",
                  to_string(kinds[k]), eps,
                  static_cast<unsigned long long>(results[k].events), ratio,
-                 k + 1 < kinds.size() ? "," : "");
+                 stamp.c_str(), k + 1 < kinds.size() ? "," : "");
     if (k > 0 && ratio < kBaselineRatio[k] * (1.0 - opt.tolerance)) {
       std::fprintf(stderr,
                    "FAIL: %s events/sec ratio %.3fx vs cbr regressed more "

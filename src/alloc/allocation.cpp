@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 
 #include "util/assert.hpp"
 
@@ -95,6 +96,22 @@ std::vector<double> subflow_basic_shares(const ContentionGraph& g) {
             flows.flow(f).weight / denom;
   }
   return out;
+}
+
+std::vector<std::vector<double>> subflow_capacity_rows(
+    const ContentionGraph& g, const std::vector<std::vector<int>>* cliques) {
+  std::vector<std::vector<int>> local;
+  if (cliques == nullptr) {
+    local = maximal_cliques(g);
+    cliques = &local;
+  }
+  std::set<std::vector<double>> rows;
+  for (const auto& clique : *cliques) {
+    std::vector<double> row(static_cast<std::size_t>(g.flows().subflow_count()), 0.0);
+    for (int v : clique) row[static_cast<std::size_t>(v)] = 1.0;
+    rows.insert(std::move(row));
+  }
+  return {rows.begin(), rows.end()};
 }
 
 double fairness_upper_bound(const ContentionGraph& g) {

@@ -59,6 +59,12 @@ std::vector<double> subflow_basic_shares(const FlowSet& flows);
 /// Group-aware per-subflow basic shares.
 std::vector<double> subflow_basic_shares(const ContentionGraph& g);
 
+/// Capacity rows over subflows: the 0/1 indicator of each maximal clique,
+/// deduplicated and sorted. `cliques`, when given, is the precomputed
+/// maximal-clique list of `g`.
+std::vector<std::vector<double>> subflow_capacity_rows(
+    const ContentionGraph& g, const std::vector<std::vector<int>>* cliques = nullptr);
+
 /// Proposition 1: upper bound of total effective throughput under the
 /// (strict) fairness constraint: Σ_i w_i · B / ω_Ω.
 double fairness_upper_bound(const ContentionGraph& g);

@@ -4,13 +4,15 @@
 // sources are not greedy, the natural generalization is weighted max-min
 // fairness with rate caps: lexicographically maximize the minimum r̂_i/w_i,
 // subject to the clique capacity rows and optional per-flow demand caps
-// r̂_i <= ρ_i. Computed by LP water-filling: repeatedly maximize the common
-// per-weight level of the still-free flows, freezing flows that cannot rise
-// further (saturated clique or reached cap).
+// r̂_i <= ρ_i. This is the Phase-1 engine (`solve_share_lp`) without floors
+// and without the total pass: each level maximizes the common per-weight
+// level of the still-free flows and freezes the ones that cannot rise
+// further (saturated clique or reached cap); caps are column bounds.
 //
-// The same engine also runs at subflow granularity, which models what the
-// two-tier scheduler of [1] *achieves in practice* (its measured Table-II
-// allocation is near max-min across subflows, not the max-total LP optimum).
+// The same computation also runs at subflow granularity, which models what
+// the two-tier scheduler of [1] *achieves in practice* (its measured
+// Table-II allocation is near max-min across subflows, not the max-total LP
+// optimum).
 #pragma once
 
 #include <optional>
@@ -22,8 +24,8 @@ namespace e2efa {
 
 struct MaxMinResult {
   Allocation allocation;
-  /// Water-filling levels: level[i] = r̂_i / w_i at freeze time; flows frozen
-  /// in the same iteration share a level.
+  /// Max-min levels: level[i] = r̂_i / w_i; flows frozen at the same level
+  /// share it.
   std::vector<double> level;
   /// True where the flow froze because it hit its rate cap ρ_i (as opposed
   /// to a saturated clique).

@@ -39,6 +39,7 @@ ShareLpResult solve_share_lp(const ShareLp& lp) {
   const int n = static_cast<int>(lp.weights.size());
   E2EFA_ASSERT(n >= 1);
   E2EFA_ASSERT(lp.lower_bounds.size() == lp.weights.size());
+  E2EFA_ASSERT(lp.upper_bounds.empty() || lp.upper_bounds.size() == lp.weights.size());
   for (double w : lp.weights) E2EFA_ASSERT(w > 0.0);
 
   ShareLpResult out;
@@ -64,26 +65,33 @@ ShareLpResult solve_share_lp(const ShareLp& lp) {
   const double eps = SimplexOptions{}.epsilon;
   for (int k = 0; k < ncap; ++k) s.set_row_bounds(k, -kInf, 1.0);
   for (int i = 0; i < n; ++i) {
+    const double lb = lp.lower_bounds[static_cast<std::size_t>(i)];
+    const bool capped = !lp.upper_bounds.empty();
+    const double cap = capped ? lp.upper_bounds[static_cast<std::size_t>(i)] : 1.0;
+    E2EFA_ASSERT_MSG(!capped || cap >= lb, "rate cap below the lower bound");
     s.set_row_bounds(ncap + i, 0.0, kInf);
-    s.set_col_bounds(i, scale * lp.lower_bounds[static_cast<std::size_t>(i)], 1.0);
+    s.set_col_bounds(i, scale * lb, std::min(1.0, cap));
   }
-  s.set_col_bounds(n, 0.0, 0.0);  // t stays out of the total pass
 
   // Pass 1: maximize total share. The floors fit, so the all-slack start
-  // basis is feasible and no phase 1 runs.
+  // basis is feasible and no phase 1 runs (nor in the first level pass when
+  // this one is skipped).
   std::vector<double> objective(static_cast<std::size_t>(n + 1), 1.0);
   objective[static_cast<std::size_t>(n)] = 0.0;
-  s.set_objective(objective);
-  ++out.lp_solves;
-  const LpStatus total_status = s.solve();
-  if (total_status != LpStatus::kOptimal) {
-    out.status = total_status;
-    return out;
+  if (lp.maximize_total) {
+    s.set_col_bounds(n, 0.0, 0.0);  // t stays out of the total pass
+    s.set_objective(objective);
+    ++out.lp_solves;
+    const LpStatus total_status = s.solve();
+    if (total_status != LpStatus::kOptimal) {
+      out.status = total_status;
+      return out;
+    }
+    // Every later pass stays on the set of total-maximizing points, pinned
+    // exactly through the pass's reduced costs.
+    s.restrict_to_optimal_face();
+    s.set_col_bounds(n, 0.0, kInf);
   }
-  // Every later pass stays on the set of total-maximizing points, pinned
-  // exactly through the pass's reduced costs.
-  s.restrict_to_optimal_face();
-  s.set_col_bounds(n, 0.0, kInf);
 
   // Balanced refinement: lexicographic max-min of x_i / w_i among optima.
   std::vector<bool> frozen(static_cast<std::size_t>(n), false);
@@ -105,7 +113,7 @@ ShareLpResult solve_share_lp(const ShareLp& lp) {
       if (!frozen[static_cast<std::size_t>(i)] && std::abs(s.reduced_cost(i)) > eps)
         freeze(i, s.value(i));
   };
-  freeze_pinned();
+  if (lp.maximize_total) freeze_pinned();
   while (free_count > 0) {
     // Maximize the common level t of the free shares.
     std::fill(objective.begin(), objective.end(), 0.0);

@@ -21,7 +21,8 @@ namespace e2efa {
 
 /// A phase-1 allocation LP in normalized form:
 ///   maximize Σ x_i  s.t.  row_k · x <= 1 (clique capacity, B == 1),
-///                          lb_i <= x_i <= 1 (basic shares; full channel).
+///                          lb_i <= x_i <= min(1, ub_i) (basic shares; full
+///                          channel; rate caps).
 struct ShareLp {
   /// Capacity rows: coefficient vector per deduplicated maximal clique.
   /// Coefficients are non-negative (subflow counts).
@@ -30,6 +31,12 @@ struct ShareLp {
   std::vector<double> lower_bounds;
   /// Per-variable weight (for max-min normalization x_i / w_i).
   std::vector<double> weights;
+  /// Per-variable rate cap (the paper's footnote-3 demand ρ_i, >= the
+  /// lower bound), or empty for greedy sources.
+  std::vector<double> upper_bounds;
+  /// False skips the total pass: the result is then the plain weighted
+  /// max-min point instead of the balanced total-maximizing one.
+  bool maximize_total = true;
 };
 
 struct ShareLpResult {
@@ -45,10 +52,11 @@ struct ShareLpResult {
   int lp_solves = 0;
 };
 
-/// Maximizes total share, then applies the balanced refinement. If the
-/// lower bounds are by themselves infeasible, they are scaled down by the
-/// largest factor that fits, min(1, 1/max_k row_k·lb, 1/max_i lb_i), and
-/// the factor is reported in `min_relaxation`.
+/// Maximizes total share (unless `maximize_total` is false), then applies
+/// the balanced refinement. If the lower bounds are by themselves
+/// infeasible, they are scaled down by the largest factor that fits,
+/// min(1, 1/max_k row_k·lb, 1/max_i lb_i), and the factor is reported in
+/// `min_relaxation`.
 ShareLpResult solve_share_lp(const ShareLp& lp);
 
 }  // namespace e2efa

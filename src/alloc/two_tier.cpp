@@ -1,7 +1,5 @@
 #include "alloc/two_tier.hpp"
 
-#include <set>
-
 namespace e2efa {
 
 TwoTierResult two_tier_allocate(const ContentionGraph& g,
@@ -17,20 +15,7 @@ TwoTierResult two_tier_allocate(const ContentionGraph& g,
   lp.weights.resize(static_cast<std::size_t>(m));
   for (int s = 0; s < m; ++s)
     lp.weights[static_cast<std::size_t>(s)] = flows.subflow(s).weight;
-
-  std::vector<std::vector<int>> local;
-  if (cliques == nullptr) {
-    local = maximal_cliques(g);
-    cliques = &local;
-  }
-  // Deduplicated 0/1 rows over subflows, one per maximal clique.
-  std::set<std::vector<double>> rows;
-  for (const auto& clique : *cliques) {
-    std::vector<double> row(static_cast<std::size_t>(m), 0.0);
-    for (int v : clique) row[static_cast<std::size_t>(v)] = 1.0;
-    rows.insert(std::move(row));
-  }
-  lp.capacity_rows.assign(rows.begin(), rows.end());
+  lp.capacity_rows = subflow_capacity_rows(g, cliques);
 
   ShareLpResult r = solve_share_lp(lp);
   out.status = r.status;

@@ -30,7 +30,7 @@ struct Built {
 TEST(MaxMin, Scenario1GreedySources) {
   Built b(scenario1());
   const auto r = maxmin_allocate(b.graph);
-  // Water-filling: common level t; constraints 2r1 <= 1, r1 + 2r2 <= 1.
+  // Max-min: common level t; constraints 2r1 <= 1, r1 + 2r2 <= 1.
   // Uniform t: 2t <= 1 and 3t <= 1 -> t = 1/3 freezes F2 (and F1 via
   // r1 <= 1 - 2/3 = 1/3 and 2r1 <= 1... F1 can rise to min(1/2, 1-2/3)=1/3).
   EXPECT_NEAR(r.allocation.flow_share[0], 1.0 / 3.0, kTol);

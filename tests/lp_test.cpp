@@ -36,8 +36,12 @@ void expect_certified(const LpProblem& p, const LpSolution& s) {
     if (rows[k].rel != Relation::kLessEq) {
       EXPECT_GE(activity, rows[k].rhs - kEps) << "row " << k;
     }
-    if (rows[k].rel == Relation::kLessEq) EXPECT_GE(y, -kEps) << "row " << k;
-    if (rows[k].rel == Relation::kGreaterEq) EXPECT_LE(y, kEps) << "row " << k;
+    if (rows[k].rel == Relation::kLessEq) {
+      EXPECT_GE(y, -kEps) << "row " << k;
+    }
+    if (rows[k].rel == Relation::kGreaterEq) {
+      EXPECT_LE(y, kEps) << "row " << k;
+    }
     EXPECT_NEAR(y * (activity - rows[k].rhs), 0.0, kEps) << "row " << k;
     dual_objective += y * rows[k].rhs;
   }
