@@ -7,7 +7,8 @@
 //
 // Full-result goldens (tests/goldens/*.txt) pin every RunResult field but
 // events_processed on the benchmark's scenario-2 workloads, basic access,
-// a lossy random network and the churn/mobility repro.
+// a lossy random network, the churn/mobility repro and a relay crash with
+// recovery under AIMD.
 //
 // Also covers: same-seed reruns are identical in every RunResult field,
 // and BatchRunner produces exactly the sequential results regardless of
@@ -28,6 +29,7 @@
 #include "net/scenario_file.hpp"
 #include "net/scenarios.hpp"
 #include "obs/trace.hpp"
+#include "route/routing.hpp"
 #include "run_result_testing.hpp"
 #include "util/rng.hpp"
 
@@ -229,6 +231,37 @@ TEST(Determinism, GoldenChurnMobilityRepro) {
                 dump_runs(sc,
                           {Protocol::k2paDistributedCtrl,
                            Protocol::k2paDistributed, Protocol::k80211},
+                          cfg));
+}
+
+// A scripted relay crash and recovery under elastic transport, with a
+// warm-up and both samplers armed. B relays A -> D (which re-routes over C
+// while B is down, then returns) and is the only way to E (so D -> E
+// suspends and resumes): recoveries, per-epoch shares, warm-up-offset
+// windows and the AIMD metrics gauges all land in the dump.
+TEST(Determinism, GoldenCrashRecoveryAimd) {
+  Scenario sc{"crash-recovery",
+              Topology({{0, 0}, {200, 150}, {200, -150}, {400, 0}, {200, 300}},
+                       250.0),
+              {},
+              {}};
+  sc.topo.set_labels({"A", "B", "C", "D", "E"});
+  sc.flow_specs.push_back(make_routed_flow(sc.topo, 0, 3));
+  sc.flow_specs.push_back(make_routed_flow(sc.topo, 3, 4));
+  sc.flow_specs.push_back(make_routed_flow(sc.topo, 2, 0));
+  sc.transport = TransportKind::kAimd;
+  sc.faults.node_down(1, 3.0);
+  sc.faults.node_up(1, 6.0);
+  SimConfig cfg;
+  cfg.sim_seconds = 11.0;
+  cfg.warmup_seconds = 1.0;
+  cfg.seed = 3;
+  cfg.sample_interval_seconds = 1.0;
+  cfg.metrics_period_seconds = 1.0;
+  expect_golden("crash_recovery_aimd",
+                dump_runs(sc,
+                          {Protocol::k2paCentralized,
+                           Protocol::k2paDistributedCtrl},
                           cfg));
 }
 
