@@ -1,7 +1,6 @@
 // Shared helpers for the paper-reproduction bench binaries.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -39,24 +38,18 @@ struct BenchArgs {
   std::exit(2);
 }
 
-inline double parse_double(const char* prog, const std::string& key,
-                           const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0')
-    usage(prog, key + ": malformed number '" + text + "'");
-  return v;
+inline double number_or_usage(const char* prog, const std::string& key,
+                              const char* text) {
+  const auto v = parse_double(text);
+  if (!v) usage(prog, key + ": malformed number '" + text + "'");
+  return *v;
 }
 
-inline long long parse_int(const char* prog, const std::string& key,
-                           const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0')
-    usage(prog, key + ": malformed integer '" + text + "'");
-  return v;
+inline long long integer_or_usage(const char* prog, const std::string& key,
+                                  const char* text) {
+  const auto v = parse_int(text);
+  if (!v) usage(prog, key + ": malformed integer '" + text + "'");
+  return *v;
 }
 
 /// Strict flag parsing: every flag takes exactly one value; unknown keys,
@@ -71,17 +64,17 @@ inline BenchArgs parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage(prog, key + ": missing value");
     const char* val = argv[++i];
     if (key == "--seconds") {
-      a.seconds = parse_double(prog, key, val);
+      a.seconds = number_or_usage(prog, key, val);
       if (a.seconds <= 0.0) usage(prog, "--seconds must be > 0");
     } else if (key == "--seed") {
-      const long long s = parse_int(prog, key, val);
+      const long long s = integer_or_usage(prog, key, val);
       if (s < 0) usage(prog, "--seed must be >= 0");
       a.seed = static_cast<std::uint64_t>(s);
     } else if (key == "--alpha") {
-      a.alpha = parse_double(prog, key, val);
+      a.alpha = number_or_usage(prog, key, val);
       if (a.alpha <= 0.0) usage(prog, "--alpha must be > 0");
     } else if (key == "--jobs") {
-      const long long j = parse_int(prog, key, val);
+      const long long j = integer_or_usage(prog, key, val);
       if (j < 0 || j > 1024) usage(prog, "--jobs must be in [0, 1024]");
       a.jobs = static_cast<int>(j);
     } else {

@@ -40,6 +40,7 @@
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 #include "util/time.hpp"
 
 using namespace e2efa;
@@ -68,12 +69,10 @@ struct Options {
 
 double parse_positive_double(const char* prog, const std::string& key,
                              const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0' || v <= 0.0)
+  const auto v = parse_double(text);
+  if (!v || *v <= 0.0)
     usage(prog, key + ": expected a positive number, got '" + text + "'");
-  return v;
+  return *v;
 }
 
 Options parse_options(int argc, char** argv) {

@@ -18,6 +18,7 @@
 
 #include "bench_stamp.hpp"
 #include "sim/simulator.hpp"
+#include "util/strings.hpp"
 #include "util/time.hpp"
 
 namespace {
@@ -189,12 +190,10 @@ struct Options {
 }
 
 int parse_positive(const char* prog, const std::string& key, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || v <= 0 || v > 100'000'000)
+  const auto v = e2efa::parse_int(text);
+  if (!v || *v <= 0 || *v > 100'000'000)
     usage(prog, key + ": expected a positive integer, got '" + text + "'");
-  return static_cast<int>(v);
+  return static_cast<int>(*v);
 }
 
 Options parse_options(int argc, char** argv) {

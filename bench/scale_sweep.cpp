@@ -74,6 +74,7 @@
 #include "contention/contention_graph.hpp"
 #include "net/runner.hpp"
 #include "net/scenario_gen.hpp"
+#include "util/strings.hpp"
 
 using namespace e2efa;
 
@@ -160,26 +161,27 @@ Options parse_options(int argc, char** argv) {
     if (i + 1 >= argc) usage(prog, key + ": missing value");
     const char* val = argv[++i];
     if (key == "--nodes") {
-      o.nodes = std::atoi(val);
-      if (o.nodes < 10) usage(prog, "--nodes: expected an integer >= 10");
+      const auto v = parse_int(val);
+      if (!v || *v < 10 || *v > 1'000'000)
+        usage(prog, "--nodes: expected an integer >= 10");
+      o.nodes = static_cast<int>(*v);
     } else if (key == "--solve-sample") {
-      o.solve_sample = std::atoi(val);
-      if (o.solve_sample < 1)
+      const auto v = parse_int(val);
+      if (!v || *v < 1 || *v > 1'000'000)
         usage(prog, "--solve-sample: expected an integer >= 1");
+      o.solve_sample = static_cast<int>(*v);
     } else if (key == "--tolerance") {
-      errno = 0;
-      char* end = nullptr;
-      o.tolerance = std::strtod(val, &end);
-      if (errno != 0 || end == val || *end != '\0' || o.tolerance <= 0.0)
-        usage(prog, "--tolerance: expected a positive number");
+      const auto v = parse_double(val);
+      if (!v || *v <= 0.0) usage(prog, "--tolerance: expected a positive number");
+      o.tolerance = *v;
     } else if (key == "--threads") {
       o.threads.clear();
       std::string list = val;
       for (std::size_t pos = 0; pos < list.size();) {
         const std::size_t comma = list.find(',', pos);
-        const int t = std::atoi(list.substr(pos, comma - pos).c_str());
-        if (t > 1) o.threads.push_back(t);
-        else if (t != 0) usage(prog, "--threads: expected counts > 1, or 0");
+        const auto t = parse_int(list.substr(pos, comma - pos));
+        if (t && *t > 1 && *t <= 1024) o.threads.push_back(static_cast<int>(*t));
+        else if (!t || *t != 0) usage(prog, "--threads: expected counts > 1, or 0");
         pos = comma == std::string::npos ? list.size() : comma + 1;
       }
     } else if (key == "--out") {

@@ -97,7 +97,6 @@ void NodeStack::on_packet_sent(const Packet& p) {
 void NodeStack::on_packet_dropped(const Packet& p) {
   if (stats_.measuring(sim_.now())) ++stats_.subflow(p.subflow).dropped_mac;
   if (check_ != nullptr) check_->on_mac_dropped(p.subflow);
-  if (on_link_failure_) on_link_failure_(p, sim_.now());
 }
 
 }  // namespace e2efa

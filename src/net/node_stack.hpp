@@ -50,15 +50,6 @@ class NodeStack : public MacCallbacks {
     mac_->set_check(check);
   }
 
-  /// Observer for link-layer delivery failure: invoked whenever the MAC
-  /// exhausts its retry limit and drops a packet at this node — the
-  /// upstream signal ("link to next hop is not delivering") that route
-  /// repair and fault accounting key off. Fires regardless of warm-up.
-  using LinkFailureListener = std::function<void(const Packet&, TimeNs)>;
-  void set_link_failure_listener(LinkFailureListener fn) {
-    on_link_failure_ = std::move(fn);
-  }
-
   /// Transport-layer sink hook (AckPlane): invoked for every uid-unique
   /// last-hop delivery; returns true when the *sequence* is fresh (first
   /// arrival at the sink). End-to-end stats count only fresh deliveries, so
@@ -83,7 +74,6 @@ class NodeStack : public MacCallbacks {
   /// suffices — and unlike a sequence watermark it lets a transport
   /// retransmission (same seq, fresh uid) pass through the relay chain.
   std::unordered_map<std::int32_t, std::uint64_t> last_uid_;
-  LinkFailureListener on_link_failure_;
   TransportSink transport_sink_;
   TraceSink* trace_ = nullptr;
   CheckContext* check_ = nullptr;

@@ -67,10 +67,10 @@ struct SimConfig {
   /// the sink. Not owned; not thread-safe: leave null when the same config
   /// fans out across BatchRunner threads.
   TraceSink* trace = nullptr;
-  /// When > 0, sample the metrics registry every this many simulated
-  /// seconds into RunResult::metrics (windowed goodput, share-normalized
-  /// Jain index, queue-depth percentiles, MAC retry rate, channel
-  /// utilization). 0 (default) disables the registry and sampler entirely.
+  /// When > 0, sample the run's counters every this many simulated seconds
+  /// into RunResult::metrics (windowed goodput, share-normalized Jain
+  /// index, queue-depth percentiles, MAC retry rate, channel utilization).
+  /// 0 (default) disables the sampler entirely.
   double metrics_period_seconds = 0.0;
   /// In-band control plane tuning (k2paDistributedCtrl only; ignored by
   /// every other protocol).
@@ -265,8 +265,15 @@ struct RunResult {
 /// epoch's reachable flow set, pushing the fresh shares into the live
 /// schedulers at the epoch boundary.
 ///
-/// When the scenario carries a FlowActivity schedule (sc.activity) this
-/// overload runs the dynamic variant below with it; when it carries
+/// When the scenario carries a FlowActivity schedule (sc.activity, one
+/// entry per flow), flows come and go: the phase-1 allocation is recomputed
+/// over the *active* flow set at every epoch boundary and pushed into the
+/// running tag schedulers — the paper's algorithm applied to
+/// backlogged-flow churn. RunResult::target_* reflect the first epoch;
+/// epoch_* record the full history. Arrivals (start_s > 0) pass through
+/// admission control under the allocating protocols: a flow whose
+/// clique-bound check fails never sources packets and is reported in
+/// RunResult::admissions with a typed reason. When the scenario carries
 /// MobilitySpecs, each mobile node's random waypoint walk is compiled into
 /// link events merged with the fault plan (src/net/mobility.hpp).
 ///
@@ -274,19 +281,9 @@ struct RunResult {
 /// src == dst or fewer than two path nodes, a fault plan referencing
 /// unknown nodes / negative times / loss rates outside [0, 1], an activity
 /// schedule whose size differs from the flow count, a mobility spec naming
-/// an unknown node, or a phase-1 solve with infeasible basic shares
-/// (over-constrained clique).
+/// an unknown node, a warm-up plus horizon beyond the simulated clock's
+/// range (seconds_fit_time_ns), or a phase-1 solve with infeasible basic
+/// shares (over-constrained clique).
 RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg);
-
-/// Dynamic variant: flows come and go per `activity` (one entry per flow).
-/// The phase-1 allocation is recomputed over the *active* flow set at every
-/// epoch boundary and pushed into the running tag schedulers — the paper's
-/// algorithm applied to backlogged-flow churn. RunResult::target_* reflect
-/// the first epoch; epoch_* record the full history. Arrivals (start_s > 0)
-/// pass through admission control under the allocating protocols: a flow
-/// whose clique-bound check fails never sources packets and is reported in
-/// RunResult::admissions with a typed reason.
-RunResult run_scenario(const Scenario& sc, Protocol proto, const SimConfig& cfg,
-                       const std::vector<FlowActivity>& activity);
 
 }  // namespace e2efa

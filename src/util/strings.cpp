@@ -1,7 +1,9 @@
 #include "util/strings.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace e2efa {
 
@@ -44,6 +46,23 @@ std::string format_share_of_b(double fraction, int max_den) {
     }
   }
   return strformat("%.4fB", fraction);
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (errno != 0 || end == text.c_str() || *end != '\0' || !std::isfinite(v))
+    return std::nullopt;
+  return v;
+}
+
+std::optional<long long> parse_int(const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || end == text.c_str() || *end != '\0') return std::nullopt;
+  return v;
 }
 
 }  // namespace e2efa

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdarg>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,5 +19,12 @@ std::string join(const std::vector<std::string>& items, const std::string& sep);
 /// falls back to fixed-point decimal. Used by benches to print paper-style
 /// allocations.
 std::string format_share_of_b(double fraction, int max_den = 64);
+
+/// Strict number parsing for flags and specs: all of `text` must be one
+/// finite number in strtod syntax (parse_double) or one base-10 integer
+/// (parse_int). Empty text, trailing characters, out-of-range values, NaN
+/// and infinities give nullopt.
+std::optional<double> parse_double(const std::string& text);
+std::optional<long long> parse_int(const std::string& text);
 
 }  // namespace e2efa

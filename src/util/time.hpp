@@ -19,6 +19,12 @@ constexpr TimeNs kSecond = 1'000'000'000;
 constexpr double to_seconds(TimeNs t) { return static_cast<double>(t) / 1e9; }
 constexpr TimeNs from_seconds(double s) { return static_cast<TimeNs>(s * 1e9); }
 
+/// True when from_seconds(s) is defined: s is finite, non-negative and
+/// below 2^63 ns (about 292 years). NaN compares false.
+constexpr bool seconds_fit_time_ns(double s) {
+  return s >= 0.0 && s * 1e9 < 9223372036854775808.0;
+}
+
 /// Duration of transmitting `bits` at `bits_per_second`, rounded up to a
 /// whole nanosecond so that back-to-back transmissions never overlap.
 constexpr TimeNs tx_duration(std::int64_t bits, std::int64_t bits_per_second) {

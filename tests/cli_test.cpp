@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/cli.hpp"
 #include "topology/builders.hpp"
@@ -76,6 +78,22 @@ TEST(Cli, RejectsBadValues) {
   EXPECT_FALSE(parse({"--pps", "0"}, &err).has_value());
   EXPECT_FALSE(parse({"--queue", "0"}, &err).has_value());
   EXPECT_FALSE(parse({"--protocol", "tcp"}, &err).has_value());
+}
+
+// Numbers are parsed strictly: each malformed, non-finite or out-of-range
+// value is rejected (e2efa-sim exits 2) with a message naming its flag.
+TEST(Cli, RejectsMalformedNumbersNamingTheFlag) {
+  const std::vector<std::pair<const char*, const char*>> cases = {
+      {"--seconds", "nan"}, {"--seconds", "1e30"}, {"--alpha", "foo"},
+      {"--seed", "abc"},    {"--loss", "nan"},     {"--queue", "5.7"},
+      {"--seconds", "inf"}, {"--warmup", "1e300"}, {"--pps", "5abc"},
+      {"--churn", "1:x"},   {"--mobility", "2.5:3"}, {"--clique-threads", ""},
+      {"--metrics-period", "1s"}, {"--seed", "-1"}};
+  for (const auto& [flag, value] : cases) {
+    std::string err;
+    EXPECT_FALSE(parse({flag, value}, &err).has_value()) << flag << " " << value;
+    EXPECT_NE(err.find(flag), std::string::npos) << flag << " " << value << ": " << err;
+  }
 }
 
 TEST(Cli, ParsesObservabilityOptions) {
@@ -248,6 +266,13 @@ TEST(NamedScenario, RejectsBadSpecs) {
   EXPECT_THROW(make_named_scenario("grid:4", rng), ContractViolation);
   EXPECT_THROW(make_named_scenario("random:1", rng), ContractViolation);
   EXPECT_THROW(make_named_scenario("torus:3", rng), ContractViolation);
+}
+
+TEST(NamedScenario, RejectsMalformedNumbers) {
+  Rng rng(1);
+  for (const char* spec : {"chain:3x", "chain:", "grid:4x4.5", "random:1e1",
+                           "chain:99999999999999999999"})
+    EXPECT_THROW(make_named_scenario(spec, rng), ContractViolation) << spec;
 }
 
 TEST(Cli, FormatRunResultContainsEssentials) {

@@ -220,6 +220,16 @@ TEST(Runner, OfferedLoadBoundsDeliveries) {
   for (std::int64_t v : r.delivered_per_subflow) EXPECT_LE(v, 12000);
 }
 
+// A horizon the nanosecond clock cannot hold used to wrap and run nothing.
+TEST(Runner, RejectsHorizonBeyondTheClock) {
+  SimConfig cfg;
+  cfg.sim_seconds = 1e30;
+  EXPECT_THROW(run_scenario(scenario1(), Protocol::k80211, cfg), ContractViolation);
+  cfg.sim_seconds = 1.0;
+  cfg.warmup_seconds = 9.3e9;
+  EXPECT_THROW(run_scenario(scenario1(), Protocol::k80211, cfg), ContractViolation);
+}
+
 TEST(Runner, ChannelStatsPopulated) {
   const RunResult& r = s1(Protocol::k2paCentralized);
   EXPECT_GT(r.channel.frames_transmitted, 0u);

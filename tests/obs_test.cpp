@@ -153,24 +153,7 @@ TEST(Trace, JsonlRendering) {
   EXPECT_EQ(line.find('\n'), std::string::npos);
 }
 
-// ---------- metrics registry ----------
-
-TEST(Metrics, RegistryReadsLiveCounters) {
-  std::uint64_t u = 5;
-  std::int64_t i = -3;
-  MetricsRegistry reg;
-  reg.add_counter("u", 0, -1, &u);
-  reg.add_counter("i", 1, -1, &i);
-  reg.add_gauge("g", 2, -1, [] { return 2.5; });
-  EXPECT_DOUBLE_EQ(reg.find("u", 0)->value(), 5.0);
-  u = 9;  // registry must see the update without re-registration
-  EXPECT_DOUBLE_EQ(reg.find("u", 0)->value(), 9.0);
-  EXPECT_DOUBLE_EQ(reg.find("i", 1)->value(), -3.0);
-  EXPECT_DOUBLE_EQ(reg.find("g", 2)->value(), 2.5);
-  EXPECT_EQ(reg.find("missing"), nullptr);
-  EXPECT_DOUBLE_EQ(reg.sum("u"), 9.0);
-  EXPECT_EQ(reg.values("g"), std::vector<double>{2.5});
-}
+// ---------- metrics ----------
 
 TEST(Metrics, JsonlWriteIsByteDeterministic) {
   MetricsTimeSeries ts;
@@ -416,6 +399,48 @@ TEST(Convergence, ReconvergesAfterFaultEpochs) {
   EXPECT_TRUE(rep.convergence[3].converged);
   EXPECT_GE(rep.convergence[3].converged_s, 12.0);
   EXPECT_GT(rep.convergence[3].time_to_converge_s, 0.0);
+}
+
+// The trace's per-epoch targets and the RunResult come from the same share
+// table: the kFlowTarget records after each kLpResolve e are exactly
+// epoch_flow_share[e], and the first epoch's are target_flow_share.
+TEST(ObsIntegration, TracedFlowTargetsMatchEpochShares) {
+  Scenario sc{"reroute-suspend",
+              Topology({{0, 0}, {200, 150}, {200, -150}, {400, 0}, {200, 300}}, 250.0),
+              {},
+              {}};
+  sc.flow_specs.push_back(make_routed_flow(sc.topo, 0, 3));  // re-routes via C
+  sc.flow_specs.push_back(make_routed_flow(sc.topo, 3, 4));  // suspends
+  sc.flow_specs.push_back(make_routed_flow(sc.topo, 2, 0));
+  sc.activity = {{0.0, 1e300}, {0.0, 1e300}, {1.5, 1e300}};
+  sc.faults.node_down(1, 1.0);
+  sc.faults.node_up(1, 2.0);
+  for (Protocol p : {Protocol::k2paCentralized, Protocol::k2paDistributedCtrl,
+                     Protocol::k80211}) {
+    SCOPED_TRACE(to_string(p));
+    TraceSink sink;
+    sink.set_filter(trace_bit(TraceCat::kLp));
+    SimConfig cfg = obs_config(3.0);
+    cfg.trace = &sink;
+    const RunResult r = run_scenario(sc, p, cfg);
+    ASSERT_EQ(r.epoch_flow_share.size(), 4u);
+
+    std::vector<std::vector<double>> traced;
+    for (const TraceRecord& rec : sink.records()) {
+      if (rec.event() == TraceEvent::kLpResolve) {
+        EXPECT_EQ(rec.a, static_cast<std::int32_t>(traced.size()));
+        traced.emplace_back();
+      } else if (rec.event() == TraceEvent::kFlowTarget) {
+        ASSERT_FALSE(traced.empty());
+        EXPECT_EQ(rec.a, static_cast<std::int32_t>(traced.back().size()));
+        traced.back().push_back(rec.v0);
+      }
+    }
+    EXPECT_EQ(traced, r.epoch_flow_share);
+    if (r.has_target) {
+      EXPECT_EQ(traced.front(), r.target_flow_share);
+    }
+  }
 }
 
 // ---------- causal spans (observability v2) ----------

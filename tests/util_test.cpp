@@ -18,6 +18,29 @@ namespace {
 
 // ---------- Rng ----------
 
+TEST(Strings, ParseDoubleIsStrictAndFinite) {
+  EXPECT_EQ(parse_double("2.5"), 2.5);
+  EXPECT_EQ(parse_double("-1e-3"), -1e-3);
+  for (const char* bad : {"", "x", "1x", "1.5 ", "nan", "NaN", "inf", "-inf", "1e999"})
+    EXPECT_FALSE(parse_double(bad).has_value()) << bad;
+}
+
+TEST(Strings, ParseIntIsStrict) {
+  EXPECT_EQ(parse_int("42"), 42);
+  EXPECT_EQ(parse_int("-7"), -7);
+  for (const char* bad : {"", "5.7", "3x", "0x10", "99999999999999999999"})
+    EXPECT_FALSE(parse_int(bad).has_value()) << bad;
+}
+
+TEST(Time, SecondsFitTimeNs) {
+  EXPECT_TRUE(seconds_fit_time_ns(0.0));
+  EXPECT_TRUE(seconds_fit_time_ns(9.2e9));
+  EXPECT_FALSE(seconds_fit_time_ns(9.3e9));
+  EXPECT_FALSE(seconds_fit_time_ns(1e30));
+  EXPECT_FALSE(seconds_fit_time_ns(-1.0));
+  EXPECT_FALSE(seconds_fit_time_ns(std::nan("")));
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());

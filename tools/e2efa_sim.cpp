@@ -7,6 +7,7 @@
 //             --metrics-out metrics.jsonl --metrics-period 0.5  (one line)
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "check/check.hpp"
@@ -32,9 +33,17 @@ int main(int argc, char** argv) {
     std::cout << cli_usage();
     return error.empty() ? 0 : 2;
   }
+  // A malformed scenario spec is a usage error like any other bad flag.
+  std::optional<Scenario> built;
   try {
     Rng rng(opt->config.seed);
-    Scenario sc = make_named_scenario(opt->scenario, rng);
+    built = make_named_scenario(opt->scenario, rng);
+  } catch (const ContractViolation& e) {
+    std::cerr << "error: --scenario " << opt->scenario << ": " << e.what() << "\n";
+    return 2;
+  }
+  Scenario& sc = *built;
+  try {
     if (opt->default_loss > 0.0) sc.faults.set_default_loss(opt->default_loss);
     apply_cli_dynamics(sc, *opt);
 

@@ -22,7 +22,6 @@
 // `chrome` converts the trace to Chrome trace-event JSON (load in Perfetto
 // or chrome://tracing): one track per node, frame airtime as slices, span
 // edges as flow arrows.
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,22 +59,16 @@ namespace {
   std::exit(2);
 }
 
-double parse_double(const std::string& key, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (errno != 0 || end == text || *end != '\0')
-    usage(key + ": malformed number '" + std::string(text) + "'");
-  return v;
+double number_arg(const std::string& key, const char* text) {
+  const auto v = parse_double(text);
+  if (!v) usage(key + ": malformed number '" + std::string(text) + "'");
+  return *v;
 }
 
-long long parse_int(const std::string& key, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0')
-    usage(key + ": malformed integer '" + std::string(text) + "'");
-  return v;
+long long integer_arg(const std::string& key, const char* text) {
+  const auto v = parse_int(text);
+  if (!v) usage(key + ": malformed integer '" + std::string(text) + "'");
+  return *v;
 }
 
 void print_convergence(const ConvergenceReport& rep) {
@@ -131,20 +124,20 @@ int main(int argc, char** argv) {
     if (key == "--flow") {
       if (command != "timeline" && command != "follow")
         usage("--flow only applies to timeline and follow");
-      flow = static_cast<int>(parse_int(key, val));
+      flow = static_cast<int>(integer_arg(key, val));
       if (flow < 0) usage("--flow must be >= 0");
     } else if (key == "--limit") {
       if (command != "timeline" && command != "follow")
         usage("--limit only applies to timeline and follow");
-      limit = parse_int(key, val);
+      limit = integer_arg(key, val);
       if (limit < 1) usage("--limit must be >= 1");
     } else if (key == "--window") {
       if (command != "convergence") usage("--window only applies to convergence");
-      window_s = parse_double(key, val);
+      window_s = number_arg(key, val);
       if (window_s <= 0.0) usage("--window must be > 0");
     } else if (key == "--eps") {
       if (command != "convergence") usage("--eps only applies to convergence");
-      eps = parse_double(key, val);
+      eps = number_arg(key, val);
       if (eps <= 0.0) usage("--eps must be > 0");
     } else {
       usage("unknown option: " + key);
