@@ -16,8 +16,8 @@
 //                   the new oracle target (RunResult::reconv_s).
 //
 // Three cases run: the two static topologies, plus "scenario1-churn" —
-// scenario1 with F2 arriving at t = 3 s, which exercises the hardened
-// control plane (admission round + generation-stamped re-solve) and guards
+// scenario1 with F2 arriving at t = 3 s, which exercises the control
+// plane's admission round and generation-stamped re-solve and guards
 // the re-convergence time after the arrival. For the churn case the
 // end-of-run share check compares against the *final* epoch via the
 // per-epoch re-convergence sampler instead of the first-epoch targets.
@@ -174,7 +174,7 @@ Figures measure(const Scenario& sc, double seconds) {
 
 /// scenario1 with F2 (D -> E -> F) arriving at t = 3 s through the
 /// admission gate — the smallest topology where an arrival forces the
-/// hardened control plane to re-solve and re-converge mid-run.
+/// control plane to re-solve and re-converge mid-run.
 Scenario scenario1_churn() {
   Scenario sc = scenario1();
   sc.name = "scenario1-churn";

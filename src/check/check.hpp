@@ -125,7 +125,7 @@ struct CheckRunInfo {
   TimeNs slot = 20 * kMicrosecond;
   TimeNs sifs = 10 * kMicrosecond;
   /// Dupack threshold the transport oracle holds sources to (the fast-
-  /// retransmit evidence bar; TransportConfig::dupack_threshold).
+  /// retransmit evidence bar; kDupackThreshold in transport/transport.hpp).
   int transport_dupack_threshold = 3;
   /// Per-subflow forwarding metadata (sim subflow ids) for conservation.
   struct SubflowInfo {

@@ -10,17 +10,43 @@
 
 namespace e2efa {
 
+namespace {
+
+/// HELLO cadence; also the agent's housekeeping tick. Each agent offsets its
+/// first tick by a random phase within one period so HELLOs from contending
+/// nodes do not synchronize.
+constexpr double kHelloPeriodS = 0.25;
+/// CONSTRAINT / RATE re-advertisement cadence, in ticks (loss healing); also
+/// the ceiling of the retransmit backoff.
+constexpr int kRefreshTicks = 4;
+/// Knowledge and constraints must be unchanged this long before a source
+/// re-solves its local LP (debounces solve storms during convergence).
+constexpr double kQuiesceS = 0.6;
+/// A neighbor unheard for this long drops out of K(v) — the in-band
+/// equivalent of the oracle's TopologyMask removing a crashed node.
+constexpr double kNeighborTimeoutS = 1.0;
+/// Max subflow ids in a piggybacked HELLO_DELTA (bounded so the payload fits
+/// the MAC's ctrl_piggyback_max airtime allowance).
+constexpr int kPiggybackMaxIds = 8;
+/// Skip optional sends while more control frames than this are queued.
+constexpr int kMaxBacklog = 16;
+/// Max CONSTRAINT/RATE/ADMIT_REQ retransmissions per fresh send.
+constexpr int kRetxLimit = 3;
+/// A dirty solve still blocked by the quiescence gate after this long is
+/// forced through with whatever state is on hand.
+constexpr double kMaxStalenessS = 2.0;
+
+}  // namespace
+
 AllocAgent::AllocAgent(Simulator& sim, DcfMac& mac, const Topology& topo,
                        const FlowSet& flows, const ContentionGraph& graph,
-                       TagScheduler* sched, const CtrlConfig& cfg, Rng rng,
-                       TraceSink* trace)
+                       TagScheduler* sched, Rng rng, TraceSink* trace)
     : sim_(sim),
       mac_(mac),
       topo_(topo),
       flows_(flows),
       graph_(graph),
       sched_(sched),
-      cfg_(cfg),
       rng_(rng),
       trace_(trace),
       self_(mac.self()) {
@@ -37,7 +63,7 @@ void AllocAgent::start() {
   mac_.set_ctrl_piggyback(this);
   reconfigure(sim_.now());
   // Random phase within one period desynchronizes contending HELLOs.
-  const TimeNs period = from_seconds(cfg_.hello_period_s);
+  const TimeNs period = from_seconds(kHelloPeriodS);
   const TimeNs phase =
       1 + static_cast<TimeNs>(rng_.uniform_u64(static_cast<std::uint64_t>(period)));
   sim_.schedule_in(phase, [this] { tick(); });
@@ -47,7 +73,7 @@ void AllocAgent::note_active_set(const std::vector<char>& subflow_active) {
   E2EFA_ASSERT(subflow_active.size() == active_.size());
   // Every activity toggle advances the flow's epoch generation. All agents
   // see the same note_active_set sequence, so generations agree everywhere
-  // without any messaging — a hardened receiver can therefore drop a
+  // without any messaging — a receiver can therefore drop a
   // CONSTRAINT/RATE composed before the flow's latest arrival/departure.
   for (FlowId f = 0; f < flows_.flow_count(); ++f) {
     const auto s0 = static_cast<std::size_t>(flows_.subflow_index(f, 0));
@@ -57,7 +83,7 @@ void AllocAgent::note_active_set(const std::vector<char>& subflow_active) {
   active_ = subflow_active;
   if (!started_) return;  // start() derives everything from active_.
   reconfigure(sim_.now());
-  if (mac_.ctrl_backlog() <= cfg_.max_backlog) send_hello();
+  if (mac_.ctrl_backlog() <= kMaxBacklog) send_hello();
 }
 
 bool AllocAgent::flow_active(FlowId f) const {
@@ -100,7 +126,7 @@ void AllocAgent::reconfigure(TimeNs now) {
     // managed lanes bootstrap from the local basic estimate until a RATE
     // (or an own solve) arrives.
     for (const auto& [f, fc] : flows_ctrl_)
-      if (next.find(f) == next.end()) set_lane(f, fc.hop, cfg_.inactive_share);
+      if (next.find(f) == next.end()) set_lane(f, fc.hop, kInactiveShare);
     for (const auto& [f, fc] : next)
       if (flows_ctrl_.find(f) == flows_ctrl_.end())
         set_lane(f, fc.hop, local_basic_estimate(f));
@@ -118,8 +144,8 @@ void AllocAgent::rebuild_own(TimeNs now) {
   pending_delta_.clear();
   for (int s : next)
     if (!std::binary_search(own_.begin(), own_.end(), s)) pending_delta_.push_back(s);
-  if (static_cast<int>(pending_delta_.size()) > cfg_.piggyback_max_ids)
-    pending_delta_.resize(static_cast<std::size_t>(cfg_.piggyback_max_ids));
+  if (static_cast<int>(pending_delta_.size()) > kPiggybackMaxIds)
+    pending_delta_.resize(static_cast<std::size_t>(kPiggybackMaxIds));
   own_ = std::move(next);
   ++own_seq_;
   rebuild_beacon();
@@ -134,7 +160,7 @@ void AllocAgent::refresh_knowledge(TimeNs now) {
   // healed link) re-enters K(v) the moment anything from it decodes again,
   // with its sequence baseline intact so a matching-seq HELLO_DELTA merges
   // immediately instead of being ignored until the next full HELLO.
-  const TimeNs timeout = from_seconds(cfg_.neighbor_timeout_s);
+  const TimeNs timeout = from_seconds(kNeighborTimeoutS);
   any_fresh_neighbor_ = tables_.empty();
   for (auto& [u, t] : tables_) {
     if (!t.stale && now - t.heard > timeout) {
@@ -193,76 +219,63 @@ void AllocAgent::tick() {
   Profiler::Scope prof(profiler_, Profiler::Phase::kCtrl);
   const TimeNs now = sim_.now();
   refresh_knowledge(now);
-  const bool room = mac_.ctrl_backlog() <= cfg_.max_backlog;
+  const bool room = mac_.ctrl_backlog() <= kMaxBacklog;
   if (room) send_hello();
   for (auto& [f, fc] : flows_ctrl_) {
     ++fc.ticks_since_constraint;
     ++fc.ticks_since_rate;
     if (fc.upstream != kInvalidNode && room &&
-        (!fc.acc_sent || fc.ticks_since_constraint >= cfg_.refresh_ticks))
+        (!fc.acc_sent || fc.ticks_since_constraint >= kRefreshTicks))
       send_constraint(f, fc);
     if (fc.upstream == kInvalidNode) {  // source duties
       maybe_solve(f, fc, now);
       if (fc.have_rate && fc.downstream != kInvalidNode && room &&
-          fc.ticks_since_rate >= cfg_.refresh_ticks)
+          fc.ticks_since_rate >= kRefreshTicks)
         send_rate(f, fc);
     }
-    if (cfg_.hardened) {
-      // Bounded retransmission with exponential backoff: a directed send
-      // still unacknowledged (no overheard forward from the peer) after its
-      // backoff window is resent, at most retx_limit times — after that the
-      // periodic refresh_ticks cadence is the safety net.
-      if (fc.ctr_await && fc.upstream != kInvalidNode &&
-          ++fc.ctr_timer >= fc.ctr_wait) {
-        if (fc.ctr_retx >= cfg_.retx_limit) {
-          fc.ctr_await = false;
-        } else if (room) {
-          ++fc.ctr_retx;
-          fc.ctr_wait = std::min(fc.ctr_wait * 2, cfg_.refresh_ticks);
-          ++stats_.retransmits;
-          cause_ = trace_retransmit(now, CtrlMsg::Kind::kConstraint, f,
-                                    fc.ctr_retx, fc.ctr_wait, fc.ctr_span);
-          send_constraint(f, fc, /*retx=*/true);
-          cause_ = 0;
-        }
-      }
-      if (fc.rate_await && fc.have_rate && fc.downstream != kInvalidNode &&
-          ++fc.rate_timer >= fc.rate_wait) {
-        if (fc.rate_retx >= cfg_.retx_limit) {
-          fc.rate_await = false;
-        } else if (room) {
-          ++fc.rate_retx;
-          fc.rate_wait = std::min(fc.rate_wait * 2, cfg_.refresh_ticks);
-          ++stats_.retransmits;
-          cause_ = trace_retransmit(now, CtrlMsg::Kind::kRate, f, fc.rate_retx,
-                                    fc.rate_wait, fc.rate_span);
-          send_rate(f, fc, /*retx=*/true);
-          cause_ = 0;
-        }
-      }
+    // A directed send still unacknowledged (no overheard forward from the
+    // peer) after its backoff window is resent.
+    if (fc.upstream != kInvalidNode &&
+        resend_due(fc.ctr_backoff, room, CtrlMsg::Kind::kConstraint, f, now)) {
+      send_constraint(f, fc, /*retx=*/true);
+      cause_ = 0;
     }
-  }
-  if (cfg_.hardened) {
-    for (auto& [f, st] : admits_) {
-      if (st.done) continue;
-      if (++st.timer < st.wait) continue;
-      if (st.retx >= cfg_.retx_limit) {
-        st.done = true;
-        st.timed_out = true;
-        continue;
-      }
-      if (!room) continue;
-      ++st.retx;
-      st.timer = 0;
-      st.wait = std::min(st.wait * 2, cfg_.refresh_ticks);
-      ++stats_.retransmits;
-      cause_ = trace_retransmit(now, CtrlMsg::Kind::kAdmitReq, f, st.retx,
-                                st.wait, st.span);
-      send_admit_req(f);
+    if (fc.have_rate && fc.downstream != kInvalidNode &&
+        resend_due(fc.rate_backoff, room, CtrlMsg::Kind::kRate, f, now)) {
+      send_rate(f, fc, /*retx=*/true);
       cause_ = 0;
     }
   }
-  sim_.schedule_in(from_seconds(cfg_.hello_period_s), [this] { tick(); });
+  for (auto& [f, st] : admits_) {
+    if (resend_due(st.req, room, CtrlMsg::Kind::kAdmitReq, f, now)) {
+      send_admit_req(f, /*retx=*/true);
+      cause_ = 0;
+    }
+  }
+  sim_.schedule_in(from_seconds(kHelloPeriodS), [this] { tick(); });
+}
+
+bool AllocAgent::resend_due(Backoff& b, bool room, CtrlMsg::Kind kind,
+                            FlowId flow, TimeNs now) {
+  if (!b.await || ++b.timer < b.wait) return false;
+  if (b.retx >= kRetxLimit) {
+    b.await = false;
+    return false;
+  }
+  if (!room) return false;
+  ++b.retx;
+  b.wait = std::min(b.wait * 2, kRefreshTicks);
+  ++stats_.retransmits;
+  cause_ = 0;
+  if (trace_ != nullptr && trace_->enabled<TraceCat::kCtrl>()) {
+    cause_ = trace_->new_span();
+    trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlRetransmit,
+                                    static_cast<std::int16_t>(self_),
+                                    static_cast<std::int32_t>(kind), flow,
+                                    static_cast<double>(b.retx),
+                                    static_cast<double>(b.wait), cause_, b.span);
+  }
+  return true;
 }
 
 void AllocAgent::maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now) {
@@ -271,14 +284,12 @@ void AllocAgent::maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now) {
   // the node walked away), a fresh solve would see an almost-empty K(v) and
   // grab far more than its converged share — keep the last-known-good rate
   // until somebody is heard again.
-  if (cfg_.hardened && fc.have_rate && !any_fresh_neighbor_) return;
-  const TimeNs q = from_seconds(cfg_.quiesce_s);
+  if (fc.have_rate && !any_fresh_neighbor_) return;
+  const TimeNs q = from_seconds(kQuiesceS);
   if (now - last_knowledge_change_ < q || now - fc.last_acc_change < q) {
     // Degraded solve: churn can keep knowledge from ever quiescing; after
-    // max_staleness_s of blocked dirtiness, solve with what is on hand.
-    if (!cfg_.hardened ||
-        now - fc.solve_dirty_since < from_seconds(cfg_.max_staleness_s))
-      return;
+    // kMaxStalenessS of blocked dirtiness, solve with what is on hand.
+    if (now - fc.solve_dirty_since < from_seconds(kMaxStalenessS)) return;
     ++stats_.forced_solves;
   }
   fc.solve_dirty = false;
@@ -306,7 +317,7 @@ void AllocAgent::maybe_solve(FlowId f, FlowCtrl& fc, TimeNs now) {
     const std::uint32_t saved_cause = cause_;
     cause_ = solve_span;
     if (fc.rate > 0.0) set_lane(f, fc.hop, fc.rate);
-    if (fc.downstream != kInvalidNode && mac_.ctrl_backlog() <= cfg_.max_backlog)
+    if (fc.downstream != kInvalidNode && mac_.ctrl_backlog() <= kMaxBacklog)
       send_rate(f, fc);
     cause_ = saved_cause;
   }
@@ -367,18 +378,11 @@ void AllocAgent::send_constraint(FlowId f, FlowCtrl& fc, bool retx) {
   m->cliques.assign(fc.acc.begin(), fc.acc.end());
   fc.acc_sent = true;
   fc.ticks_since_constraint = 0;
-  if (cfg_.hardened && fc.hop >= 2) {
-    // The ack is overhearing the upstream hop forward its own CONSTRAINT —
-    // only possible when the upstream is not already the source.
-    fc.ctr_await = true;
-    fc.ctr_timer = 0;
-    if (!retx) {
-      fc.ctr_retx = 0;
-      fc.ctr_wait = 1;
-    }
-  }
+  // The ack is overhearing the upstream hop forward its own CONSTRAINT —
+  // only possible when the upstream is not already the source.
+  if (fc.hop >= 2) fc.ctr_backoff.arm(retx);
   ++stats_.constraint_sent;
-  fc.ctr_span = send(std::move(m));
+  fc.ctr_backoff.span = send(std::move(m));
 }
 
 void AllocAgent::send_rate(FlowId f, FlowCtrl& fc, bool retx) {
@@ -392,18 +396,11 @@ void AllocAgent::send_rate(FlowId f, FlowCtrl& fc, bool retx) {
   m->gen = flow_gen_[static_cast<std::size_t>(f)];
   m->rate = fc.rate;
   fc.ticks_since_rate = 0;
-  if (cfg_.hardened && fc.hop + 2 < flows_.flow(f).length()) {
-    // The ack is overhearing the downstream hop forward the RATE — only
-    // possible when the downstream is not already the last transmitter.
-    fc.rate_await = true;
-    fc.rate_timer = 0;
-    if (!retx) {
-      fc.rate_retx = 0;
-      fc.rate_wait = 1;
-    }
-  }
+  // The ack is overhearing the downstream hop forward the RATE — only
+  // possible when the downstream is not already the last transmitter.
+  if (fc.hop + 2 < flows_.flow(f).length()) fc.rate_backoff.arm(retx);
   ++stats_.rate_sent;
-  fc.rate_span = send(std::move(m));
+  fc.rate_backoff.span = send(std::move(m));
 }
 
 // --------------------------------------------------------------- receive
@@ -432,8 +429,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
 
   switch (m.kind) {
     case CtrlMsg::Kind::kHello:
-      if (cfg_.hardened && t.have_hello && m.seq > t.seq + 1 &&
-          t.gap_seq != m.seq) {
+      if (t.have_hello && m.seq > t.seq + 1 && t.gap_seq != m.seq) {
         // We missed at least one whole advertisement generation.
         ++stats_.seq_gaps;
         t.gap_seq = m.seq;
@@ -456,7 +452,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       break;
 
     case CtrlMsg::Kind::kHelloDelta:
-      if (cfg_.hardened && t.have_hello && m.seq > t.seq && t.gap_seq != m.seq) {
+      if (t.have_hello && m.seq > t.seq && t.gap_seq != m.seq) {
         // A delta against a table generation we never received: the full
         // HELLO carrying it was lost. The periodic re-advertisement heals
         // the table; the counter records that the gap happened.
@@ -487,7 +483,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       break;
 
     case CtrlMsg::Kind::kConstraint: {
-      if (cfg_.hardened && m.flow >= 0 && m.flow < flows_.flow_count() &&
+      if (m.flow >= 0 && m.flow < flows_.flow_count() &&
           m.gen != flow_gen_[static_cast<std::size_t>(m.flow)]) {
         ++stats_.stale_dropped;  // composed before the flow's last toggle
         break;
@@ -497,7 +493,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
         // implicitly acks the CONSTRAINT we sent it.
         const auto ack = flows_ctrl_.find(m.flow);
         if (ack != flows_ctrl_.end() && m.origin == ack->second.upstream)
-          ack->second.ctr_await = false;
+          ack->second.ctr_backoff.await = false;
       }
       if (m.to != self_) break;  // overheard someone else's accumulation
       const auto it = flows_ctrl_.find(m.flow);
@@ -507,13 +503,13 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       fc.down_acc = m.cliques;
       refresh_knowledge(now);  // local cliques must be current before the union
       if (rebuild_acc(m.flow, fc, now) && fc.upstream != kInvalidNode &&
-          mac_.ctrl_backlog() <= cfg_.max_backlog)
+          mac_.ctrl_backlog() <= kMaxBacklog)
         send_constraint(m.flow, fc);  // propagate upstream without a tick of delay
       break;
     }
 
     case CtrlMsg::Kind::kRate: {
-      if (cfg_.hardened && m.flow >= 0 && m.flow < flows_.flow_count() &&
+      if (m.flow >= 0 && m.flow < flows_.flow_count() &&
           m.gen != flow_gen_[static_cast<std::size_t>(m.flow)]) {
         // The no-stale-rate guarantee: a RATE composed before the flow's
         // latest departure/arrival can never resurrect its lanes.
@@ -524,7 +520,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
         // Overhearing the downstream hop forward the RATE acks ours.
         const auto ack = flows_ctrl_.find(m.flow);
         if (ack != flows_ctrl_.end() && m.origin == ack->second.downstream)
-          ack->second.rate_await = false;
+          ack->second.rate_backoff.await = false;
       }
       if (m.to != self_) break;
       const auto it = flows_ctrl_.find(m.flow);
@@ -536,7 +532,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       if (m.rate > 0.0) set_lane(m.flow, fc.hop, m.rate);
       // Forward even unchanged refreshes: the hop after us may have missed
       // an earlier copy, and loss healing relies on this relay chain.
-      if (fc.downstream != kInvalidNode && mac_.ctrl_backlog() <= cfg_.max_backlog)
+      if (fc.downstream != kInvalidNode && mac_.ctrl_backlog() <= kMaxBacklog)
         send_rate(m.flow, fc);
       break;
     }
@@ -583,33 +579,29 @@ bool AllocAgent::local_admit_ok(FlowId f, TimeNs now) {
 }
 
 void AllocAgent::request_admission(FlowId f) {
-  E2EFA_ASSERT_MSG(cfg_.hardened, "ADMIT rounds require hardened mode");
   E2EFA_ASSERT(flows_.flow(f).source() == self_);
-  AdmitState st;
-  const TimeNs now = sim_.now();
-  const bool ok = local_admit_ok(f, now);
+  const bool ok = local_admit_ok(f, sim_.now());
+  AdmitState& st = admits_[f] = AdmitState{};
   if (!ok || flows_.flow(f).length() < 2) {
     // A local rejection decides the round; so does a single-transmitter
     // flow (the source's verdict is the whole path's).
-    st.done = true;
+    st.decided = true;
     st.verdict = ok;
-    admits_[f] = st;
     return;
   }
-  admits_[f] = st;
   // The request is a consequence of the local verdict just recorded.
   cause_ = admit_span_;
-  send_admit_req(f);
+  send_admit_req(f, /*retx=*/false);
   cause_ = 0;
 }
 
 int AllocAgent::inband_admission(FlowId f) const {
   const auto it = admits_.find(f);
-  if (it == admits_.end() || !it->second.done || it->second.timed_out) return -1;
+  if (it == admits_.end() || !it->second.decided) return -1;
   return it->second.verdict ? 1 : 0;
 }
 
-void AllocAgent::send_admit_req(FlowId f) {
+void AllocAgent::send_admit_req(FlowId f, bool retx) {
   const Flow& fl = flows_.flow(f);
   auto m = std::make_shared<CtrlMsg>();
   m->kind = CtrlMsg::Kind::kAdmitReq;
@@ -622,13 +614,13 @@ void AllocAgent::send_admit_req(FlowId f) {
     m->subflows.push_back(flows_.subflow_index(f, h));
   m->admit_ok = true;  // the source's own verdict held, or we wouldn't send
   ++stats_.admit_req_sent;
-  const std::uint32_t span = send(std::move(m));
-  const auto it = admits_.find(f);
-  if (it != admits_.end()) it->second.span = span;
+  Backoff& req = admits_.at(f).req;
+  req.arm(retx);
+  req.span = send(std::move(m));
 }
 
 void AllocAgent::handle_admit(const CtrlMsg& m, TimeNs now) {
-  if (!cfg_.hardened || m.to != self_) return;
+  if (m.to != self_) return;
   if (m.flow < 0 || m.flow >= flows_.flow_count()) return;
   const FlowId f = m.flow;
   const int h = candidate_hop(f);
@@ -671,8 +663,9 @@ void AllocAgent::handle_admit(const CtrlMsg& m, TimeNs now) {
   // kAdmitRsp
   if (h == 0) {
     const auto it = admits_.find(f);
-    if (it != admits_.end() && !it->second.done) {
-      it->second.done = true;
+    if (it != admits_.end() && it->second.req.await) {
+      it->second.req.await = false;
+      it->second.decided = true;
       it->second.verdict = m.admit_ok;
     }
     return;
@@ -698,20 +691,6 @@ std::uint32_t AllocAgent::trace_recv(const Frame& fr, TimeNs now) const {
   return span;
 }
 
-std::uint32_t AllocAgent::trace_retransmit(TimeNs now, CtrlMsg::Kind kind,
-                                           FlowId flow, int retx,
-                                           int wait_ticks,
-                                           std::uint32_t prev_span) const {
-  if (trace_ == nullptr || !trace_->enabled<TraceCat::kCtrl>()) return 0;
-  const std::uint32_t span = trace_->new_span();
-  trace_->record<TraceCat::kCtrl>(now, TraceEvent::kCtrlRetransmit,
-                                  static_cast<std::int16_t>(self_),
-                                  static_cast<std::int32_t>(kind), flow,
-                                  static_cast<double>(retx),
-                                  static_cast<double>(wait_ticks), span,
-                                  prev_span);
-  return span;
-}
 
 // ------------------------------------------------------------- piggyback
 

@@ -19,14 +19,16 @@
 //      CONSTRAINT messages, so the source converges to the union over the
 //      whole path.
 //   5. Local LP: when knowledge and constraints have been quiescent for a
-//      configurable window, the source calls the *same*
+//      fixed window, the source calls the *same*
 //      `solve_local_problem` the oracle uses, applies the share to its own
 //      lane, and pushes a RATE message downstream; each hop applies and
 //      forwards it.
 //
-// Everything is sequence-numbered and periodically re-advertised, so lost
-// frames, flow churn, and node/link faults all heal through the same
-// mechanism: state re-converges in-band, with no out-of-band epoch re-solve.
+// Everything is sequence-numbered and periodically re-advertised, and the
+// directed messages are retransmitted with backoff until the next hop is
+// overheard forwarding them, so lost frames, flow churn, and node/link
+// faults all heal through the same mechanism: state re-converges in-band,
+// with no out-of-band epoch re-solve.
 #pragma once
 
 #include <cstdint>
@@ -47,45 +49,6 @@ namespace e2efa {
 
 class CheckContext;
 
-struct CtrlConfig {
-  /// HELLO cadence; also the agent's housekeeping tick. Each agent offsets
-  /// its first tick by a random phase within one period so HELLOs from
-  /// contending nodes do not synchronize.
-  double hello_period_s = 0.25;
-  /// CONSTRAINT / RATE re-advertisement cadence, in ticks (loss healing).
-  int refresh_ticks = 4;
-  /// Knowledge and constraints must be unchanged this long before a source
-  /// re-solves its local LP (debounces solve storms during convergence).
-  double quiesce_s = 0.6;
-  /// A neighbor unheard for this long drops out of K(v) — the in-band
-  /// equivalent of the oracle's TopologyMask removing a crashed node.
-  double neighbor_timeout_s = 1.0;
-  /// Max subflow ids in a piggybacked HELLO_DELTA (bounded so the payload
-  /// fits the MAC's ctrl_piggyback_max airtime allowance).
-  int piggyback_max_ids = 8;
-  /// Skip optional sends while this many control frames are still queued.
-  int max_backlog = 16;
-  /// Share applied to lanes of flows that went inactive (matches the
-  /// runner's kInactiveShare floor; TagScheduler shares must stay > 0).
-  double inactive_share = 1e-6;
-  /// Loss-hardened mode. Off (default) the control plane is exactly the
-  /// PR 4 fire-and-forget protocol (bit-identical goldens); on — the runner
-  /// enables it automatically for runs with faults, churn, or mobility —
-  /// the agent additionally (a) stamps CONSTRAINT/RATE with per-flow epoch
-  /// generations and drops stale ones, (b) retransmits unacknowledged
-  /// CONSTRAINT/RATE with exponential backoff (overhearing the peer's
-  /// forward acts as the ack), (c) counts HELLO sequence gaps, (d) forces a
-  /// degraded solve when quiescence is never reached within
-  /// max_staleness_s, and keeps last-known-good rates while every neighbor
-  /// is timed out, and (e) answers in-band ADMIT rounds.
-  bool hardened = false;
-  /// Max CONSTRAINT/RATE/ADMIT_REQ retransmissions per send (hardened).
-  int retx_limit = 3;
-  /// A dirty solve still blocked by the quiescence gate after this long is
-  /// forced through with whatever state is on hand (hardened).
-  double max_staleness_s = 2.0;
-};
-
 /// Final applied state and traffic counters of one agent (collected into
 /// RunResult::ctrl; all counters are queued-send side — the MAC's
 /// stats().ctrl_sent counts actual transmissions).
@@ -96,7 +59,6 @@ struct CtrlAgentStats {
   std::uint64_t msgs_received = 0;
   std::uint64_t solves = 0;
   std::uint64_t ctrl_bytes_sent = 0;  ///< Dedicated frames only (not piggybacks).
-  // Hardened-mode counters (all zero when CtrlConfig::hardened is off).
   std::uint64_t admit_req_sent = 0;
   std::uint64_t admit_rsp_sent = 0;
   std::uint64_t retransmits = 0;
@@ -112,8 +74,8 @@ class AllocAgent : public CtrlPiggyback {
   /// pure receivers still relay knowledge). The agent installs itself as
   /// the MAC's control listener and piggyback source in start().
   AllocAgent(Simulator& sim, DcfMac& mac, const Topology& topo, const FlowSet& flows,
-             const ContentionGraph& graph, TagScheduler* sched, const CtrlConfig& cfg,
-             Rng rng, TraceSink* trace);
+             const ContentionGraph& graph, TagScheduler* sched, Rng rng,
+             TraceSink* trace);
 
   /// Installs MAC hooks, applies locally-estimated bootstrap shares to this
   /// node's lanes, and schedules the first (phase-jittered) tick. Call once
@@ -132,12 +94,12 @@ class AllocAgent : public CtrlPiggyback {
   /// the lane is not local). Test/collection helper.
   double applied_share(std::int32_t subflow) const;
 
-  /// Starts an in-band ADMIT round for flow `f` (hardened mode; self must
-  /// be f's source). The request walks the candidate's transmitting nodes,
-  /// each ANDing its local clique-bound verdict (the shared
-  /// admission_local_worst_load kernel) into the message; the last hop's
-  /// ADMIT_RSP returns the verdict hop-by-hop. Lost legs are retransmitted
-  /// with backoff up to retx_limit, then the round times out.
+  /// Starts an in-band ADMIT round for flow `f` (self must be f's source).
+  /// The request walks the candidate's transmitting nodes, each ANDing its
+  /// local clique-bound verdict (the shared admission_local_worst_load
+  /// kernel) into the message; the last hop's ADMIT_RSP returns the verdict
+  /// hop-by-hop. Lost legs are retransmitted with backoff a bounded number
+  /// of times, then the round times out.
   void request_admission(FlowId f);
 
   /// Outcome of the ADMIT round started for `f`: 1 admitted, 0 rejected,
@@ -170,6 +132,24 @@ class AllocAgent : public CtrlPiggyback {
     std::uint32_t gap_seq = 0;  ///< Last delta seq counted as a gap.
   };
 
+  /// Retransmit state of one directed stream. A send arms it; an armed
+  /// stream is resent after `wait` ticks, the wait doubling per resend, and
+  /// disarms after kRetxLimit resends of one fresh send (the periodic
+  /// re-advertisement is then the safety net).
+  struct Backoff {
+    bool await = false;
+    int retx = 0, wait = 1, timer = 0;
+    std::uint32_t span = 0;  ///< Span of the last send (0 = none/untraced).
+    void arm(bool resend) {
+      await = true;
+      timer = 0;
+      if (!resend) {
+        retx = 0;
+        wait = 1;
+      }
+    }
+  };
+
   /// Per managed flow (self is a transmitting node of an active flow).
   struct FlowCtrl {
     int hop = 0;
@@ -185,29 +165,21 @@ class AllocAgent : public CtrlPiggyback {
     bool have_rate = false;
     int ticks_since_constraint = 0;
     int ticks_since_rate = 0;
-    /// Hardened-mode retransmit state. A directed send arms the await flag
-    /// and an exponentially backed-off tick timer; overhearing the peer
-    /// forward the same stream (its own CONSTRAINT upstream / RATE
-    /// downstream) clears it. At most retx_limit resends per fresh send.
-    bool ctr_await = false;
-    int ctr_retx = 0, ctr_wait = 1, ctr_timer = 0;
-    bool rate_await = false;
-    int rate_retx = 0, rate_wait = 1, rate_timer = 0;
+    /// Overhearing the peer forward the same stream (its own CONSTRAINT
+    /// upstream / RATE downstream) disarms these.
+    Backoff ctr_backoff, rate_backoff;
     TimeNs solve_dirty_since = 0;  ///< When solve_dirty last went true.
-    /// Causal-span bookkeeping (0 when tracing is off/filtered): the spans
-    /// of the last CONSTRAINT/RATE sends (retransmit records chain to
-    /// them) and of the event that last dirtied the solve (the solve
-    /// record chains to it).
-    std::uint32_t ctr_span = 0, rate_span = 0, cause_span = 0;
+    /// Span of the event that last dirtied the solve (the solve record
+    /// chains to it; 0 when tracing is off/filtered).
+    std::uint32_t cause_span = 0;
   };
 
-  /// One pending / completed in-band ADMIT round at the candidate's source.
+  /// One in-band ADMIT round at the candidate's source: pending while `req`
+  /// is armed, timed out once it disarms undecided.
   struct AdmitState {
-    bool done = false;
+    bool decided = false;
     bool verdict = false;
-    bool timed_out = false;
-    int retx = 0, wait = 1, timer = 0;
-    std::uint32_t span = 0;  ///< Span of the last ADMIT_REQ send (0 = none).
+    Backoff req;  ///< ADMIT_REQ resends; the ADMIT_RSP disarms it.
   };
 
   void tick();
@@ -225,7 +197,7 @@ class AllocAgent : public CtrlPiggyback {
   /// Emits the kCtrlSend record (span = fresh id, parent = cause_), stamps
   /// the span onto the message, and hands it to the MAC. Returns the span.
   std::uint32_t send(std::shared_ptr<CtrlMsg> m);
-  void send_admit_req(FlowId f);
+  void send_admit_req(FlowId f, bool retx);
   void handle_admit(const CtrlMsg& m, TimeNs now);
   bool local_admit_ok(FlowId f, TimeNs now);
   int candidate_hop(FlowId f) const;  ///< Self's hop on f's path, -1 if none.
@@ -234,11 +206,13 @@ class AllocAgent : public CtrlPiggyback {
   /// Emits the kCtrlRecv record (parent = the message's send span) and
   /// returns its fresh span id (0 when the ctrl category is off).
   std::uint32_t trace_recv(const Frame& f, TimeNs now) const;
-  /// Emits a kCtrlRetransmit record chained to the original send's span;
-  /// returns its span so the resend's kCtrlSend can chain to it.
-  std::uint32_t trace_retransmit(TimeNs now, CtrlMsg::Kind kind, FlowId flow,
-                                 int retx, int wait_ticks,
-                                 std::uint32_t prev_span) const;
+  /// Advances an armed stream's timer by one tick. When a resend is due and
+  /// the MAC has `room`, counts it, emits the kCtrlRetransmit record
+  /// (chained to the last send's span), points cause_ at that record so the
+  /// resend's kCtrlSend chains to it, and returns true: the caller resends,
+  /// then clears cause_. An exhausted stream disarms instead.
+  bool resend_due(Backoff& b, bool room, CtrlMsg::Kind kind, FlowId flow,
+                  TimeNs now);
 
   Simulator& sim_;
   DcfMac& mac_;
@@ -246,7 +220,6 @@ class AllocAgent : public CtrlPiggyback {
   const FlowSet& flows_;
   const ContentionGraph& graph_;
   TagScheduler* sched_;
-  CtrlConfig cfg_;
   Rng rng_;
   TraceSink* trace_;
   NodeId self_;
@@ -267,7 +240,7 @@ class AllocAgent : public CtrlPiggyback {
 
   /// Per-flow epoch generation: bumped on every activity toggle the runner
   /// announces. Deterministically identical across agents (every agent sees
-  /// the same note_active_set sequence), so a hardened receiver can drop a
+  /// the same note_active_set sequence), so a receiver can drop a
   /// CONSTRAINT/RATE composed before the flow's last arrival/departure.
   std::vector<std::uint16_t> flow_gen_;
   bool any_fresh_neighbor_ = true;  ///< False when every table is stale.

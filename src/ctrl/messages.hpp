@@ -20,20 +20,19 @@
 //               it starts: each transmitting hop evaluates the local
 //               clique-bound admission check (src/ctrl/admission.hpp) over
 //               its current knowledge, ANDs its verdict into the message,
-//               and forwards it. Hardened mode only.
+//               and forwards it.
 //   ADMIT_RSP   the final hop's verdict returned upstream hop-by-hop to the
-//               candidate's source. Hardened mode only.
+//               candidate's source.
 //
-// All messages are fire-and-forget (kCtrl broadcast frames carry no ACK);
-// robustness comes from periodic re-advertisement — plus, in hardened mode
-// (CtrlConfig::hardened, auto-enabled under faults/churn/mobility), bounded
-// retransmission with exponential backoff for the directed kinds, with
-// forwarding overheard from the next hop standing in for an ack.
+// kCtrl broadcast frames carry no MAC ACK. Robustness comes from periodic
+// re-advertisement plus bounded retransmission with exponential backoff for
+// the directed kinds, with forwarding overheard from the next hop standing
+// in for an ack (the constants live in ctrl/agent.cpp).
 //
 // Directed flow-state messages additionally carry a *generation* stamp
 // (CtrlMsg::gen): every activity toggle of a flow bumps its generation, and
-// hardened receivers drop CONSTRAINT/RATE stamped with a stale generation —
-// a RATE composed before the flow departed can never resurrect its lanes.
+// receivers drop CONSTRAINT/RATE stamped with a stale generation — a RATE
+// composed before the flow departed can never resurrect its lanes.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +64,7 @@ struct CtrlMsg {
   std::uint32_t seq = 0;         ///< Origin-local sequence per message stream.
   FlowId flow = -1;              ///< kConstraint/kRate/kAdmit*: subject flow.
   /// Epoch generation of `flow` when the message was composed (bumped on
-  /// every activity toggle). Hardened receivers drop mismatches.
+  /// every activity toggle). Receivers drop mismatches.
   std::uint16_t gen = 0;
   /// kHello: the full Own set; kHelloDelta: ids added since `seq` began;
   /// kAdmitReq: the candidate's subflow ids (its path travels with it).

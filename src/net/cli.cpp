@@ -377,7 +377,7 @@ std::string format_run_result(const Scenario& sc, const RunResult& r,
     if (r.ctrl.retransmits + r.ctrl.seq_gaps + r.ctrl.stale_dropped +
             r.ctrl.forced_solves + r.ctrl.admit_req_sent >
         0) {
-      os << "  hardened: " << r.ctrl.retransmits << " retransmits, "
+      os << "  loss recovery: " << r.ctrl.retransmits << " retransmits, "
          << r.ctrl.seq_gaps << " sequence gaps seen, " << r.ctrl.stale_dropped
          << " stale msgs dropped, " << r.ctrl.forced_solves
          << " forced (degraded) solves, " << r.ctrl.admit_req_sent

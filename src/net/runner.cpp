@@ -14,6 +14,7 @@
 #include "contention/clique_store.hpp"
 #include "contention/contention_graph.hpp"
 #include "ctrl/admission.hpp"
+#include "ctrl/agent.hpp"
 #include "net/mobility.hpp"
 #include "net/node_stack.hpp"
 #include "route/routing.hpp"
@@ -51,10 +52,6 @@ double RunResult::measured_subflow_share(int s, std::int64_t bps, int payload_by
 }
 
 namespace {
-
-/// Share given to lanes of flows that are currently inactive (they carry no
-/// traffic; a tiny positive value keeps the scheduler's invariants).
-constexpr double kInactiveShare = 1e-6;
 
 /// Poll period of the in-band re-convergence probe.
 constexpr TimeNs kReconvPeriod = 100 * kMillisecond;
@@ -385,7 +382,7 @@ void begin_check(CheckContext& check, const Scenario& sc, Protocol proto,
   info.ctrl_cw = mac_defaults.ctrl_cw;
   info.slot = mac_defaults.slot;
   info.sifs = mac_defaults.sifs;
-  info.transport_dupack_threshold = cfg.transport.dupack_threshold;
+  info.transport_dupack_threshold = kDupackThreshold;
   info.subflows.resize(static_cast<std::size_t>(flows.subflow_count()));
   for (int s = 0; s < flows.subflow_count(); ++s) {
     const Subflow& sf = flows.subflow(s);
@@ -653,20 +650,13 @@ struct RunState {
   /// Only k2paDistributedCtrl gets here (including the extra RNG splits), so
   /// every other protocol's trajectory is untouched.
   void wire_agents() {
-    // Any dynamics — scripted faults, churn windows, or mobility — turn on
-    // the loss-hardened control plane (retransmits, generation stamps,
-    // staleness degradation); a plain static run keeps the lean protocol so
-    // its trajectory is byte-identical to earlier builds.
-    CtrlConfig ctrl_cfg = cfg.ctrl;
-    if (!plan.faults.empty() || plan.dynamic || !sc.mobility.empty())
-      ctrl_cfg.hardened = true;
     ctrl_graph = std::make_unique<ContentionGraph>(sc.topo, plan.flows);
     Rng ctrl_master = master.split();
     for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
       agents.push_back(std::make_unique<AllocAgent>(
           sim, stacks[static_cast<std::size_t>(n)]->mac(), sc.topo, plan.flows,
-          *ctrl_graph, tag_scheds[static_cast<std::size_t>(n)], ctrl_cfg,
-          ctrl_master.split(), trace));
+          *ctrl_graph, tag_scheds[static_cast<std::size_t>(n)], ctrl_master.split(),
+          trace));
       agents.back()->set_check(check);
       agents.back()->set_profiler(cfg.profile);
     }
@@ -685,10 +675,8 @@ struct RunState {
   /// off its provisioned path. CBR runs construct none of this — their
   /// trajectory (and RNG stream) is byte-identical to pre-transport builds.
   void wire_sources() {
-    TransportConfig tcfg = cfg.transport;
-    tcfg.kind = sc.transport;
     if (elastic) {
-      ack = std::make_unique<AckPlane>(sim, tcfg, trace, check);
+      ack = std::make_unique<AckPlane>(sim, trace, check);
       for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
         NodeStack* stack = stacks[static_cast<std::size_t>(n)].get();
         ack->register_mac(n, &stack->mac());
@@ -724,11 +712,11 @@ struct RunState {
         src = std::make_unique<CbrTransport>(sim, cfg.cbr_pps, cfg.payload_bytes,
                                              std::move(emit), master);
       } else if (sc.transport == TransportKind::kAimd) {
-        src = std::make_unique<AimdTransport>(sim, tcfg, cfg.payload_bytes, std::move(emit),
-                                              master, f, flow.source(), trace, check);
+        src = std::make_unique<AimdTransport>(sim, cfg.payload_bytes, std::move(emit), master,
+                                              f, flow.source(), trace, check);
       } else {
-        src = std::make_unique<BbrTransport>(sim, tcfg, cfg.payload_bytes, std::move(emit),
-                                             master, f, flow.source(), trace, check);
+        src = std::make_unique<BbrTransport>(sim, cfg.payload_bytes, std::move(emit), master,
+                                             f, flow.source(), trace, check);
       }
       if (elastic) ack->add_flow(f, flow.path, src.get());
       sources.push_back(std::move(src));

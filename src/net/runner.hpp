@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "alloc/allocation.hpp"
-#include "ctrl/agent.hpp"
 #include "lp/simplex.hpp"
 #include "mac/dcf_mac.hpp"
 #include "net/scenarios.hpp"
@@ -72,9 +71,6 @@ struct SimConfig {
   /// index, queue-depth percentiles, MAC retry rate, channel utilization).
   /// 0 (default) disables the sampler entirely.
   double metrics_period_seconds = 0.0;
-  /// In-band control plane tuning (k2paDistributedCtrl only; ignored by
-  /// every other protocol).
-  CtrlConfig ctrl;
   /// Invariant-check observer (src/check/check.hpp). Null (default)
   /// disables all oracles; like the trace sink, an installed observer never
   /// mutates sim state or draws randomness, so checked runs are
@@ -87,9 +83,6 @@ struct SimConfig {
   /// the trace/check observers it IS thread-safe: one profiler may be
   /// shared across a BatchRunner fan-out and aggregates over all runs.
   Profiler* profile = nullptr;
-  /// Elastic-transport tuning (used when Scenario::transport != kCbr; the
-  /// `kind` member is ignored — the scenario decides the source model).
-  TransportConfig transport;
   /// Threads for the incremental clique store's epoch rebuilds, which
   /// parallelize over enumeration seeds (CliqueStore::set_threads). The
   /// parallel path is id-identical to the serial one, so any value produces
@@ -186,15 +179,15 @@ struct RunResult {
     std::uint64_t solves = 0;           ///< Source-local LP solves.
     std::uint64_t ctrl_bytes = 0;       ///< Wire bytes of queued dedicated frames.
     std::uint64_t ctrl_frames = 0;      ///< kCtrl frames actually transmitted.
-    // Hardened-mode counters (all zero unless CtrlConfig::hardened — i.e.
-    // unless the scenario has faults, churn, or mobility).
+    // Loss-recovery and admission counters of the same agents.
     std::uint64_t admit_req_sent = 0;   ///< Queued ADMIT_REQ messages.
     std::uint64_t admit_rsp_sent = 0;   ///< Queued ADMIT_RSP messages.
     std::uint64_t retransmits = 0;      ///< CONSTRAINT/RATE resends (no ack).
     std::uint64_t seq_gaps = 0;         ///< HELLO sequence gaps detected.
     std::uint64_t stale_dropped = 0;    ///< Msgs dropped for a stale epoch gen.
     std::uint64_t forced_solves = 0;    ///< Degraded solves (quiescence never
-                                        ///< reached within max_staleness_s).
+                                        ///< reached within kMaxStalenessS,
+                                        ///< ctrl/agent.cpp).
     std::vector<double> applied_subflow_share;  ///< Final lane shares (sim ids).
     bool operator==(const CtrlSummary&) const = default;
   };

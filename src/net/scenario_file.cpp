@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -15,6 +16,29 @@ namespace {
 
 [[noreturn]] void fail(int line, const std::string& msg) {
   throw ContractViolation(strformat("scenario file line %d: %s", line, msg.c_str()));
+}
+
+// Numeric fields are read a whole token at a time and parsed strictly
+// (util/strings), so "250abc" or "0x" is an error rather than a prefix.
+bool next_double(std::istream& line, double* out) {
+  std::string tok;
+  if (!(line >> tok)) return false;
+  const auto v = parse_double(tok);
+  if (v) *out = *v;
+  return v.has_value();
+}
+
+bool next_int(std::istream& line, long long* out) {
+  std::string tok;
+  if (!(line >> tok)) return false;
+  const auto v = parse_int(tok);
+  if (v) *out = *v;
+  return v.has_value();
+}
+
+void expect_end(std::istream& line, int lineno, const std::string& cmd) {
+  std::string extra;
+  if (line >> extra) fail(lineno, "unexpected token after " + cmd);
 }
 
 struct FlowSpec {
@@ -86,12 +110,16 @@ Scenario parse_scenario_text(const std::string& text, std::string name) {
 
     if (cmd == "range" || cmd == "irange") {
       double v;
-      if (!(line >> v) || v <= 0) fail(lineno, cmd + " needs a positive number");
+      if (!next_double(line, &v) || v <= 0)
+        fail(lineno, cmd + " needs a positive number");
+      expect_end(line, lineno, cmd);
       (cmd == "range" ? range : irange) = v;
     } else if (cmd == "node") {
       std::string label;
       double x, y;
-      if (!(line >> label >> x >> y)) fail(lineno, "node needs: label x y");
+      if (!(line >> label) || !next_double(line, &x) || !next_double(line, &y))
+        fail(lineno, "node needs: label x y");
+      expect_end(line, lineno, cmd);
       if (by_label.contains(label)) fail(lineno, "duplicate node label " + label);
       by_label[label] = static_cast<NodeId>(positions.size());
       positions.push_back({x, y});
@@ -102,10 +130,9 @@ Scenario parse_scenario_text(const std::string& text, std::string name) {
       std::string tok;
       while (line >> tok) {
         if (tok == "weight") {
-          if (!(line >> spec.weight) || spec.weight <= 0)
+          if (!next_double(line, &spec.weight) || spec.weight <= 0)
             fail(lineno, "weight needs a positive number");
-          std::string extra;
-          if (line >> extra) fail(lineno, "unexpected token after weight");
+          expect_end(line, lineno, "weight");
           break;
         }
         spec.nodes.push_back(tok);
@@ -125,10 +152,9 @@ Scenario parse_scenario_text(const std::string& text, std::string name) {
                            : " node needs: a node label and a time");
       if (!(line >> spec.a)) fail(lineno, usage);
       if (spec.link && !(line >> spec.b)) fail(lineno, usage);
-      if (!(line >> spec.at_s)) fail(lineno, usage);
+      if (!next_double(line, &spec.at_s)) fail(lineno, usage);
       if (spec.at_s < 0) fail(lineno, cmd + " time must not be negative");
-      std::string extra;
-      if (line >> extra) fail(lineno, "unexpected token after " + cmd);
+      expect_end(line, lineno, cmd);
       fault_specs.push_back(std::move(spec));
     } else if (cmd == "loss") {
       LossSpec spec;
@@ -136,26 +162,28 @@ Scenario parse_scenario_text(const std::string& text, std::string name) {
       if (!(line >> spec.a)) fail(lineno, "loss needs: a b rate, or: default rate");
       if (spec.a == "default") {
         spec.is_default = true;
-        if (!(line >> spec.per)) fail(lineno, "loss default needs a rate");
+        if (!next_double(line, &spec.per)) fail(lineno, "loss default needs a rate");
       } else {
-        if (!(line >> spec.b >> spec.per))
+        if (!(line >> spec.b) || !next_double(line, &spec.per))
           fail(lineno, "loss needs: a b rate, or: default rate");
       }
       if (spec.per < 0.0 || spec.per > 1.0)
         fail(lineno, "loss rate must be within [0, 1]");
-      std::string extra;
-      if (line >> extra) fail(lineno, "unexpected token after loss");
+      expect_end(line, lineno, cmd);
       loss_specs.push_back(std::move(spec));
     } else if (cmd == "flow_arrive" || cmd == "flow_depart") {
       ChurnSpec spec;
       spec.depart = cmd == "flow_depart";
       spec.line = lineno;
-      if (!(line >> spec.flow >> spec.at_s))
+      long long flow = 0;
+      if (!next_int(line, &flow) || !next_double(line, &spec.at_s))
         fail(lineno, cmd + " needs: flow-index time");
-      if (spec.flow < 0) fail(lineno, cmd + " flow index must not be negative");
+      if (flow < 0) fail(lineno, cmd + " flow index must not be negative");
+      if (flow > std::numeric_limits<int>::max())
+        fail(lineno, cmd + " flow index is out of range");
+      spec.flow = static_cast<int>(flow);
       if (spec.at_s < 0) fail(lineno, cmd + " time must not be negative");
-      std::string extra;
-      if (line >> extra) fail(lineno, "unexpected token after " + cmd);
+      expect_end(line, lineno, cmd);
       churn_specs.push_back(spec);
     } else if (cmd == "mobility") {
       MobSpec spec;
@@ -166,12 +194,17 @@ Scenario parse_scenario_text(const std::string& text, std::string name) {
       std::string key;
       while (line >> key) {
         if (key == "speed") {
-          if (!(line >> spec.speed)) fail(lineno, "mobility speed needs a number");
+          if (!next_double(line, &spec.speed))
+            fail(lineno, "mobility speed needs a number");
           have_speed = true;
         } else if (key == "pause") {
-          if (!(line >> spec.pause)) fail(lineno, "mobility pause needs a number");
+          if (!next_double(line, &spec.pause))
+            fail(lineno, "mobility pause needs a number");
         } else if (key == "seed") {
-          if (!(line >> spec.seed)) fail(lineno, "mobility seed needs an integer");
+          long long seed = 0;
+          if (!next_int(line, &seed) || seed < 0)
+            fail(lineno, "mobility seed needs a non-negative integer");
+          spec.seed = static_cast<std::uint64_t>(seed);
         } else {
           fail(lineno, "unknown mobility option '" + key + "'");
         }
@@ -190,8 +223,7 @@ Scenario parse_scenario_text(const std::string& text, std::string name) {
       const auto parsed = parse_transport_kind(kind);
       if (!parsed) fail(lineno, "unknown transport kind '" + kind + "'");
       transport = *parsed;
-      std::string extra;
-      if (line >> extra) fail(lineno, "unexpected token after transport");
+      expect_end(line, lineno, cmd);
     } else {
       fail(lineno, "unknown directive '" + cmd + "'");
     }

@@ -34,8 +34,8 @@ struct MetricsSample {
   /// cumulative control-bytes / data-bytes overhead ratio at window end.
   double ctrl_bytes = 0.0;
   double ctrl_overhead = 0.0;
-  /// Loss-hardened control-plane health, this window (0 when hardening is
-  /// off): timer-driven CONSTRAINT/RATE/ADMIT retransmissions and receiver
+  /// Control-plane loss recovery, this window (2PA-Dctrl only):
+  /// timer-driven CONSTRAINT/RATE/ADMIT retransmissions and receiver
   /// sequence gaps (messages the origin sent that this window never saw).
   double ctrl_retransmits = 0.0;
   double ctrl_seq_gaps = 0.0;

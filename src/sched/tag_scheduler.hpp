@@ -33,6 +33,12 @@ namespace e2efa {
 
 class CheckContext;
 
+/// Share given to lanes of flows that are currently inactive: they carry no
+/// traffic, and a tiny positive value keeps the scheduler's invariants
+/// (shares must stay > 0). The runner's epoch allocations and the in-band
+/// agents both park idle lanes here.
+inline constexpr double kInactiveShare = 1e-6;
+
 class TagScheduler : public TxQueue, public TagAgent {
  public:
   struct SubflowConfig {

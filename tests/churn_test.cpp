@@ -151,7 +151,7 @@ TEST(Churn, AdmittedArrivalReportedWithInBandAgreement) {
 TEST(Churn, DepartedFlowLanesNeverResurrect) {
   // F2 departs at t = 8 while the channel drops 15% of frames: stale RATE
   // messages from before the departure are exactly what the
-  // generation-stamp hardening must refuse to apply. The no-stale-rate
+  // generation stamps must refuse to apply. The no-stale-rate
   // oracle watches every applied share; on top of that the departed lanes
   // must end at the idle floor.
   Scenario sc = scenario1();

@@ -156,5 +156,24 @@ TEST(CtrlInBand, SummaryEmptyForOtherProtocols) {
   EXPECT_EQ(r.ctrl, RunResult::CtrlSummary{});
 }
 
+// One control plane: an input that never takes effect must not change the
+// run. A node fault scheduled past the end of the horizon leaves the
+// topology intact for the whole run, so the in-band protocol (and with it
+// every delivery and control counter) must be exactly the fault-free one.
+TEST(CtrlInBand, UnreachedFaultLeavesTheRunUnchanged) {
+  Scenario plain = scenario2();
+  plain.transport = TransportKind::kAimd;
+  Scenario late = plain;
+  late.faults.node_down(0, 1000.0);
+  SimConfig cfg;
+  cfg.sim_seconds = 20.0;
+  cfg.seed = 4;
+  const RunResult a = run_scenario(plain, Protocol::k2paDistributedCtrl, cfg);
+  const RunResult b = run_scenario(late, Protocol::k2paDistributedCtrl, cfg);
+  EXPECT_EQ(a.total_end_to_end, b.total_end_to_end);
+  EXPECT_EQ(a.ctrl, b.ctrl);
+  EXPECT_TRUE(a == b);
+}
+
 }  // namespace
 }  // namespace e2efa

@@ -662,7 +662,7 @@ TEST(Profiler, DoesNotPerturbTheRun) {
 
 /// Runs the paper's scenario 1 under the in-band control plane with churn
 /// (flow 1 arrives mid-run, triggering an in-band ADMIT round) and link
-/// loss (forcing hardened-mode retransmits); returns the trace.
+/// loss (forcing control-plane retransmits); returns the trace.
 std::vector<TraceRecord> ctrl_span_trace() {
   Scenario sc = scenario1();
   sc.activity.assign(sc.flow_specs.size(), FlowActivity{});

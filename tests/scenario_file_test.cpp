@@ -25,6 +25,20 @@ flow A C
 flow D F
 )";
 
+// Parsing `text` must fail with an error naming `line` and containing
+// `needle`.
+void expect_fail(const std::string& text, int line, const std::string& needle) {
+  try {
+    parse_scenario_text(text);
+    FAIL() << "should have thrown for: " << text;
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line " + std::to_string(line)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
 TEST(ScenarioFile, ParsesFig1Equivalent) {
   const Scenario sc = parse_scenario_text(kFig1Text, "fig1");
   EXPECT_EQ(sc.topo.node_count(), 6);
@@ -115,6 +129,48 @@ TEST(ScenarioFile, RejectsMalformedInput) {
                ContractViolation);
 }
 
+// Every numeric field is parsed whole: a number with trailing text, or a
+// trailing token after the last field, is rejected with the line number
+// instead of being read as its numeric prefix.
+TEST(ScenarioFile, RejectsMalformedNumbers) {
+  const std::string nodes = "node A 0 0\nnode B 200 0\n";  // lines 1-2
+  const std::string base = nodes + "flow A B\n";            // lines 1-3
+  expect_fail("range 250abc\n" + base, 1, "range needs a positive number");
+  expect_fail("range nan\n" + base, 1, "range needs a positive number");
+  expect_fail("irange 300 400\n" + base, 1, "unexpected token after irange");
+  expect_fail("range 250 x\n" + base, 1, "unexpected token after range");
+  expect_fail("node A 0 0x\n", 1, "node needs: label x y");
+  expect_fail("node A 1e3q 0\n", 1, "node needs: label x y");
+  expect_fail("node A 0 0 junk\n", 1, "unexpected token after node");
+  expect_fail(nodes + "flow A B weight 2x\n", 3, "weight needs a positive number");
+  expect_fail(base + "fault node B 5s\n", 4, "a node label and a time");
+  expect_fail(base + "fault link A B 5s\n", 4, "two node labels and a time");
+  expect_fail(base + "loss A B 0.1x\n", 4, "loss needs");
+  expect_fail(base + "loss default inf\n", 4, "needs a rate");
+  expect_fail(base + "flow_arrive 0x 1\n", 4, "needs: flow-index time");
+  expect_fail(base + "flow_arrive 0.5 1\n", 4, "needs: flow-index time");
+  expect_fail(base + "flow_depart 0 1e\n", 4, "needs: flow-index time");
+  expect_fail(base + "mobility B speed 5mps\n", 4, "speed needs a number");
+  expect_fail(base + "mobility B speed 5 pause 1x\n", 4, "pause needs a number");
+  expect_fail(base + "mobility B speed 5 seed 7.5\n", 4,
+              "seed needs a non-negative integer");
+  expect_fail(base + "mobility B speed 5 seed -1\n", 4,
+              "seed needs a non-negative integer");
+  expect_fail(base + "transport aimd x\n", 4, "unexpected token after transport");
+
+  // Well-formed numbers in every syntax the old reader took still load.
+  const Scenario sc = parse_scenario_text(
+      "range 2.5e2\nirange +300\nnode A -0 0.\nnode B 200 .0\nflow A B weight 1E0\n"
+      "fault node B 5\nrecover node B 6.25\nloss A B 1e-1\n"
+      "flow_arrive 0 1\nmobility B speed 3 pause 0 seed 42\n");
+  EXPECT_EQ(sc.topo.tx_range(), 250.0);
+  EXPECT_EQ(sc.topo.interference_range(), 300.0);
+  EXPECT_EQ(sc.topo.position(1).x, 200.0);
+  EXPECT_EQ(sc.flow_specs[0].weight, 1.0);
+  ASSERT_EQ(sc.mobility.size(), 1u);
+  EXPECT_EQ(sc.mobility[0].seed, 42u);
+}
+
 TEST(ScenarioFile, FaultDirectivesRoundTrip) {
   const Scenario sc = parse_scenario_text(R"(
 node A 0 0
@@ -162,18 +218,6 @@ loss default 0.01
 }
 
 TEST(ScenarioFile, FaultErrorsCarryLineNumbers) {
-  const auto expect_fail = [](const std::string& text, int line,
-                              const std::string& needle) {
-    try {
-      parse_scenario_text(text);
-      FAIL() << "should have thrown for: " << text;
-    } catch (const ContractViolation& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("line " + std::to_string(line)), std::string::npos)
-          << what;
-      EXPECT_NE(what.find(needle), std::string::npos) << what;
-    }
-  };
   const std::string base = "node A 0 0\nnode B 200 0\nflow A B\n";  // lines 1-3
   expect_fail(base + "fault node Q 5\n", 4, "unknown node label Q");
   expect_fail(base + "fault node B -1\n", 4, "must not be negative");
@@ -262,18 +306,6 @@ mobility B speed 12 pause 0.5 seed 9
 }
 
 TEST(ScenarioFile, ChurnAndMobilityErrorsCarryLineNumbers) {
-  const auto expect_fail = [](const std::string& text, int line,
-                              const std::string& needle) {
-    try {
-      parse_scenario_text(text);
-      FAIL() << "should have thrown for: " << text;
-    } catch (const ContractViolation& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("line " + std::to_string(line)), std::string::npos)
-          << what;
-      EXPECT_NE(what.find(needle), std::string::npos) << what;
-    }
-  };
   const std::string base = "node A 0 0\nnode B 200 0\nflow A B\n";  // lines 1-3
   expect_fail(base + "flow_arrive 5 1\n", 4, "out of range (1 flows defined)");
   expect_fail(base + "flow_depart -1 1\n", 4, "must not be negative");
