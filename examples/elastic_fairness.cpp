@@ -97,9 +97,8 @@ struct CellResult {
 /// r̂ shares → fluid packets/s under the run's MAC parameters.
 std::vector<double> shares_to_pps(const std::vector<double>& shares,
                                   const SimConfig& cfg) {
-  const MacConfig mac;
-  const double eff =
-      effective_packet_rate(cfg.payload_bytes, mac, cfg.channel_bps, cfg.cw_min);
+  const double eff = effective_packet_rate(cfg.payload_bytes, cfg.use_rts_cts,
+                                           cfg.channel_bps, cfg.cw_min);
   std::vector<double> pps;
   for (double s : shares) pps.push_back(s * eff);
   return pps;

@@ -8,16 +8,6 @@
 
 namespace e2efa {
 
-namespace {
-
-std::vector<FlowId> flows_in(const FlowSet& flows, const std::vector<int>& subflows) {
-  std::set<FlowId> fs;
-  for (int s : subflows) fs.insert(flows.subflow(s).flow);
-  return {fs.begin(), fs.end()};
-}
-
-}  // namespace
-
 LocalProblem solve_local_problem(const FlowSet& flows, FlowId flow,
                                  const std::vector<std::vector<int>>& cliques,
                                  const std::vector<int>& source_knowledge) {
@@ -68,9 +58,7 @@ LocalProblem solve_local_problem(const FlowSet& flows, FlowId flow,
   lp.vars.assign(vars.begin(), vars.end());
 
   // Local per-unit basic share from the source's own two-hop knowledge.
-  double denom = 0.0;
-  for (FlowId j : flows_in(flows, source_knowledge))
-    denom += flows.flow(j).weight * virtual_length(flows.flow(j).length());
+  const double denom = visible_weighted_length(flows, source_knowledge);
   E2EFA_ASSERT(denom > 0.0);
   lp.unit_basic = 1.0 / denom;
 

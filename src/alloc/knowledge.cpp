@@ -1,5 +1,6 @@
 #include "alloc/knowledge.hpp"
 
+#include <algorithm>
 #include <set>
 
 namespace e2efa {
@@ -47,6 +48,19 @@ std::vector<std::vector<int>> exchanged_knowledge(
     out[static_cast<std::size_t>(v)].assign(k.begin(), k.end());
   }
   return out;
+}
+
+double visible_weighted_length(const FlowSet& flows, const std::vector<int>& subflows,
+                               FlowId also) {
+  std::vector<FlowId> ids;
+  ids.reserve(subflows.size() + 1);
+  for (int s : subflows) ids.push_back(flows.subflow(s).flow);
+  if (also >= 0) ids.push_back(also);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  double sum = 0.0;
+  for (FlowId j : ids) sum += flows.flow(j).weight * flows.virtual_length_of(j);
+  return sum;
 }
 
 }  // namespace e2efa

@@ -31,4 +31,13 @@ std::vector<std::vector<int>> exchanged_knowledge(
     const Topology& topo, const std::vector<std::vector<int>>& own,
     const TopologyMask* mask = nullptr);
 
+/// The local basic-share denominator Σ_j w_j·v_j (v_j = min(l_j, 3)) over
+/// the flows with a subflow in `subflows`, plus `also` when it is >= 0 — a
+/// node's estimate of w_i / Σ_j w_j·v_j from what it can see (Sec. IV-B).
+/// The distributed solve, the admission gates and the in-band agents all
+/// sum through here in ascending flow-id order, so their shares agree
+/// bit for bit.
+double visible_weighted_length(const FlowSet& flows, const std::vector<int>& subflows,
+                               FlowId also = -1);
+
 }  // namespace e2efa

@@ -15,13 +15,15 @@
 // randomness — a run with checks enabled produces the bit-identical
 // RunResult and trajectory of a run without them.
 //
-// Invariants covered (CheckConfig category toggles):
+// Invariants covered, each reported under its CheckViolation category.
+// Every oracle always runs:
 //   mac          NAV / virtual-carrier-sense consistency (no contention-
 //                initiated frame while the checker's own NAV model says the
 //                medium is reserved), no DATA without a prior RTS/CTS
 //                handshake on that link, responder frames (CTS/ACK) only
 //                SIFS after the frame they answer, backoff draws within
-//                [0, CW(retries) + max(Q, R, 0)] (capped like TagBackoff).
+//                [0, CW(retries) + max(Q, R, 0)] (capped like TagBackoff),
+//                control-only draws within [1, kCtrlCw + 1].
 //   conservation per-node packet conservation: accepted = sent + dropped +
 //                still queued; per-hop: offered(hop h+1) = unique
 //                deliveries(hop h); unique deliveries never exceed accepts.
@@ -67,18 +69,9 @@ namespace e2efa {
 inline constexpr double kDistributedCliqueEnvelope = 1.75;
 
 struct CheckConfig {
-  bool mac = true;
-  bool conservation = true;
-  bool sched = true;
-  bool queue = true;
-  bool alloc = true;
-  bool admission = true;
-  bool transport = true;
   /// Violations beyond this are counted but not stored (memory bound under
   /// a genuinely broken invariant firing per packet).
   int max_violations = 32;
-  /// Slack for the floating-point phase-1 checks.
-  double alloc_eps = 1e-6;
   /// Clique-load ceiling granted to the distributed phase-1 family
   /// (kDistributedCliqueEnvelope was calibrated on paper-sized
   /// topologies). City-scale sweeps see more sources tiling a clique with
@@ -115,15 +108,11 @@ const char* to_string(CheckViolation::Category c);
 struct CheckRunInfo {
   int node_count = 0;
   int cw_min = 31;
-  int cw_max = 1023;
-  int ctrl_cw = 31;
   bool use_rts_cts = true;
-  /// k2paStaticCw widens the base window by 1/node-share (still <= cw_max);
-  /// the backoff oracle then only enforces the cw_max envelope.
+  /// k2paStaticCw widens the base window by 1/node-share (still <= kCwMax);
+  /// the backoff oracle then only enforces the kCwMax envelope.
   bool scaled_cw = false;
   int queue_capacity = 50;
-  TimeNs slot = 20 * kMicrosecond;
-  TimeNs sifs = 10 * kMicrosecond;
   /// Dupack threshold the transport oracle holds sources to (the fast-
   /// retransmit evidence bar; kDupackThreshold in transport/transport.hpp).
   int transport_dupack_threshold = 3;
@@ -155,8 +144,8 @@ class CheckContext {
   /// Every clean reception delivered to node `rx_node`'s MAC.
   void on_frame_receive(NodeId rx_node, const Frame& f, TimeNs end);
   /// Every backoff draw: `slots` drawn with `retries` prior failures;
-  /// `lag` = max(Q, R, 0) from the tag agent (0 without tags); `ctrl_only`
-  /// marks the control-frame-backlog draw from [1, ctrl_cw + 1].
+  /// `lag` = max(Q, R, 0) from the tag scheduler (0 without tags); `ctrl_only`
+  /// marks the control-frame-backlog draw from [1, kCtrlCw + 1].
   void on_backoff_draw(NodeId n, int slots, int retries, double lag,
                        bool ctrl_only, TimeNs now);
 
@@ -191,7 +180,7 @@ class CheckContext {
   /// Epoch-boundary activity snapshot (sim flow ids). The runner calls this
   /// *before* the control plane reacts to the boundary, so any lane update
   /// the agents make is judged against the current population.
-  void note_active_flows(const std::vector<char>& flow_active, TimeNs now);
+  void note_active_flows(const std::vector<char>& flow_active);
   /// An AllocAgent applied `share` to node n's lane of `subflow`.
   /// Violation: the subflow's flow is inactive and the share is above the
   /// idle floor — a stale RATE resurrected a departed flow's lane.
@@ -257,7 +246,7 @@ class CheckContext {
   int expected_capacity() const;
   /// Independent copy of the MAC's escalated-window rule (the oracle must
   /// not share code with the implementation it checks):
-  /// min((cw_min + 1)·2^min(retries,16) − 1, cw_max).
+  /// min((cw_min + 1)·2^min(retries,16) − 1, kCwMax).
   int escalated_window(int cw_min, int retries) const;
 
   struct NodeMacState {

@@ -26,7 +26,7 @@ constexpr double kQuiesceS = 0.6;
 /// equivalent of the oracle's TopologyMask removing a crashed node.
 constexpr double kNeighborTimeoutS = 1.0;
 /// Max subflow ids in a piggybacked HELLO_DELTA (bounded so the payload fits
-/// the MAC's ctrl_piggyback_max airtime allowance).
+/// the MAC's kCtrlPiggybackMax airtime allowance).
 constexpr int kPiggybackMaxIds = 8;
 /// Skip optional sends while more control frames than this are queued.
 constexpr int kMaxBacklog = 16;
@@ -184,11 +184,10 @@ void AllocAgent::refresh_knowledge(TimeNs now) {
   if (nk == knowledge_) return;
   knowledge_ = std::move(nk);
   local_cliques_ = maximal_cliques_in_subset(graph_, knowledge_);
-  for (auto& [f, fc] : flows_ctrl_) rebuild_acc(f, fc, now);
+  for (auto& entry : flows_ctrl_) rebuild_acc(entry.second, now);
 }
 
-bool AllocAgent::rebuild_acc(FlowId f, FlowCtrl& fc, TimeNs now) {
-  (void)f;
+bool AllocAgent::rebuild_acc(FlowCtrl& fc, TimeNs now) {
   std::set<std::vector<int>> acc(local_cliques_.begin(), local_cliques_.end());
   for (const std::vector<int>& c : fc.down_acc) acc.insert(c);
   if (acc == fc.acc) return false;
@@ -204,13 +203,7 @@ bool AllocAgent::rebuild_acc(FlowId f, FlowCtrl& fc, TimeNs now) {
 }
 
 double AllocAgent::local_basic_estimate(FlowId f) const {
-  std::set<FlowId> seen;
-  for (int s : own_) seen.insert(flows_.subflow(s).flow);
-  seen.insert(f);
-  double denom = 0.0;
-  for (FlowId j : seen)
-    denom += flows_.flow(j).weight * virtual_length(flows_.flow(j).length());
-  return flows_.flow(f).weight / denom;
+  return flows_.flow(f).weight / visible_weighted_length(flows_, own_, f);
 }
 
 // ------------------------------------------------------------------ tick
@@ -502,7 +495,7 @@ void AllocAgent::on_ctrl(const Frame& fr) {
       if (fc.down_acc == m.cliques) break;
       fc.down_acc = m.cliques;
       refresh_knowledge(now);  // local cliques must be current before the union
-      if (rebuild_acc(m.flow, fc, now) && fc.upstream != kInvalidNode &&
+      if (rebuild_acc(fc, now) && fc.upstream != kInvalidNode &&
           mac_.ctrl_backlog() <= kMaxBacklog)
         send_constraint(m.flow, fc);  // propagate upstream without a tick of delay
       break;

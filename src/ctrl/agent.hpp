@@ -188,7 +188,7 @@ class AllocAgent : public CtrlPiggyback {
   void rebuild_own(TimeNs now);
   bool flow_active(FlowId f) const;
   void refresh_knowledge(TimeNs now);  ///< Rebuilds K(v) + local cliques if dirty.
-  bool rebuild_acc(FlowId f, FlowCtrl& fc, TimeNs now);  ///< True if acc changed.
+  bool rebuild_acc(FlowCtrl& fc, TimeNs now);  ///< True if acc changed.
   void send_hello();
   void send_constraint(FlowId f, FlowCtrl& fc, bool retx = false);
   void send_rate(FlowId f, FlowCtrl& fc, bool retx = false);

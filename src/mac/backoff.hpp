@@ -5,13 +5,15 @@
 // the tag-lag estimate max(Q, R, 0) from the node's TagScheduler, so nodes
 // that have received more than their allocated share back off longer
 // (Sec. IV-C step (3)). On retries both policies escalate the base window
-// to resolve collisions.
+// to resolve collisions, never past kCwMax (mac/dcf_params.hpp).
 #pragma once
 
-#include "sched/tx_queue.hpp"
 #include "util/rng.hpp"
+#include "util/time.hpp"
 
 namespace e2efa {
+
+class TagScheduler;
 
 class BackoffPolicy {
  public:
@@ -25,25 +27,23 @@ class BackoffPolicy {
 /// IEEE 802.11: uniform over [0, min((CWmin+1)·2^retries − 1, CWmax)].
 class BebBackoff : public BackoffPolicy {
  public:
-  BebBackoff(int cw_min, int cw_max);
+  explicit BebBackoff(int cw_min);
   int draw_slots(Rng& rng, int retries, TimeNs now) override;
 
  private:
   int cw_min_;
-  int cw_max_;
 };
 
 /// 2PA: uniform over [0, base(retries) + max(Q, R, 0)], where base is the
-/// (retry-escalated) CWmin and Q/R come from the tag agent.
+/// (retry-escalated) CWmin and Q/R come from the node's tag scheduler.
 class TagBackoff : public BackoffPolicy {
  public:
-  TagBackoff(int cw_min, int cw_max, TagAgent& agent);
+  TagBackoff(int cw_min, TagScheduler& sched);
   int draw_slots(Rng& rng, int retries, TimeNs now) override;
 
  private:
   int cw_min_;
-  int cw_max_;
-  TagAgent& agent_;
+  TagScheduler& sched_;
 };
 
 /// Naive share-proportional contention window (ablation baseline): the
@@ -54,12 +54,11 @@ class TagBackoff : public BackoffPolicy {
 class ScaledCwBackoff : public BackoffPolicy {
  public:
   /// `node_share` in (0, 1]: the node's aggregate allocated share.
-  ScaledCwBackoff(int cw_min, int cw_max, double node_share);
+  ScaledCwBackoff(int cw_min, double node_share);
   int draw_slots(Rng& rng, int retries, TimeNs now) override;
 
  private:
   int scaled_min_;
-  int cw_max_;
 };
 
 }  // namespace e2efa

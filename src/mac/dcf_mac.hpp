@@ -6,7 +6,9 @@
 // handshake with timeouts and a retry limit, and delegates *which* packet
 // to send to a TxQueue and *how long* to back off to a BackoffPolicy —
 // which is exactly where 2PA's phase-2 scheduler plugs in. Service tags are
-// piggybacked on every frame of an exchange when a TagAgent is present.
+// piggybacked on every frame of an exchange when a TagScheduler is present.
+// The fixed 802.11 timing and frame sizes are the constants of
+// mac/dcf_params.hpp.
 //
 // Backoff is freeze/resume with one simulator event per countdown segment,
 // not one per slot. Arming at idle start s (s = max(now, NAV, EIFS)) with k
@@ -27,6 +29,7 @@
 #include <memory>
 
 #include "mac/backoff.hpp"
+#include "mac/dcf_params.hpp"
 #include "phy/channel.hpp"
 #include "sched/tx_queue.hpp"
 #include "sim/simulator.hpp"
@@ -34,25 +37,7 @@
 
 namespace e2efa {
 
-struct MacConfig {
-  TimeNs slot = 20 * kMicrosecond;
-  TimeNs sifs = 10 * kMicrosecond;
-  TimeNs difs = 50 * kMicrosecond;
-  int retry_limit = 7;  ///< Drops the packet after this many failed attempts.
-  /// True (default): four-way RTS/CTS/DATA/ACK. False: basic access —
-  /// DATA/ACK only; hidden terminals then collide on full data frames.
-  bool use_rts_cts = true;
-  /// Contention window for broadcast control frames (src/ctrl): they carry
-  /// no tag state, so they draw uniformly from [1, ctrl_cw + 1] instead of
-  /// consulting the BackoffPolicy. Unused until send_ctrl is called.
-  int ctrl_cw = 31;
-  /// Upper bound on the extra bytes a CtrlPiggyback may attach to an
-  /// RTS/CTS. The RTS sender cannot know whether the responder will
-  /// piggyback, so when a piggyback source is installed its CTS-timeout
-  /// budget is widened by this many bytes of airtime.
-  int ctrl_piggyback_max = 48;
-  FrameSizes sizes;
-};
+class TagScheduler;
 
 /// Supplies the optional allocation-control payload piggybacked on outgoing
 /// RTS/CTS frames (src/ctrl overheard-table deltas). Implemented by the
@@ -80,9 +65,13 @@ class MacCallbacks {
 
 class DcfMac : public PhyListener {
  public:
-  DcfMac(Simulator& sim, Channel& channel, NodeId self, const MacConfig& cfg,
+  /// `use_rts_cts` true: four-way RTS/CTS/DATA/ACK. False: basic access —
+  /// DATA/ACK only; hidden terminals then collide on full data frames.
+  /// `tags` drives the 2PA tag machinery (Sec. IV-C); null for protocols
+  /// without tags (plain 802.11).
+  DcfMac(Simulator& sim, Channel& channel, NodeId self, bool use_rts_cts,
          TxQueue& queue, BackoffPolicy& backoff, MacCallbacks& callbacks, Rng rng,
-         TagAgent* tags = nullptr);
+         TagScheduler* tags = nullptr);
 
   /// The stack must call this after enqueueing into a previously empty (or
   /// idle) queue so the MAC starts contending.
@@ -178,12 +167,12 @@ class DcfMac : public PhyListener {
   Simulator& sim_;
   Channel& channel_;
   NodeId self_;
-  MacConfig cfg_;
+  bool use_rts_cts_;
   TxQueue& queue_;
   BackoffPolicy& backoff_;
   MacCallbacks& callbacks_;
   Rng rng_;
-  TagAgent* tags_;
+  TagScheduler* tags_;
   TraceSink* trace_ = nullptr;
   CheckContext* check_ = nullptr;
 

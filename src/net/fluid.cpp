@@ -2,35 +2,37 @@
 
 #include <algorithm>
 
+#include "mac/dcf_params.hpp"
 #include "util/assert.hpp"
 
 namespace e2efa {
 
-TimeNs per_packet_airtime(int payload_bytes, const MacConfig& mac, std::int64_t bps,
+TimeNs per_packet_airtime(int payload_bytes, bool use_rts_cts, std::int64_t bps,
                           int cw_min) {
   E2EFA_ASSERT(payload_bytes > 0 && bps > 0 && cw_min >= 1);
   auto dur = [&](int bytes) { return tx_duration(8LL * bytes, bps); };
-  const TimeNs data = dur(mac.sizes.data_header + payload_bytes);
-  const TimeNs ack = dur(mac.sizes.ack);
-  const TimeNs mean_backoff = mac.slot * cw_min / 2;
-  TimeNs total = mac.difs + mean_backoff + data + mac.sifs + ack;
-  if (mac.use_rts_cts) {
-    total += dur(mac.sizes.rts) + mac.sifs + dur(mac.sizes.cts) + mac.sifs;
+  const TimeNs data = dur(kDataHeaderBytes + payload_bytes);
+  const TimeNs ack = dur(kAckBytes);
+  const TimeNs mean_backoff = kSlot * cw_min / 2;
+  TimeNs total = kDifs + mean_backoff + data + kSifs + ack;
+  if (use_rts_cts) {
+    total += dur(kRtsBytes) + kSifs + dur(kCtsBytes) + kSifs;
   }
   return total;
 }
 
-double effective_packet_rate(int payload_bytes, const MacConfig& mac,
-                             std::int64_t bps, int cw_min) {
-  return 1e9 / static_cast<double>(per_packet_airtime(payload_bytes, mac, bps, cw_min));
+double effective_packet_rate(int payload_bytes, bool use_rts_cts, std::int64_t bps,
+                             int cw_min) {
+  return 1e9 /
+         static_cast<double>(per_packet_airtime(payload_bytes, use_rts_cts, bps, cw_min));
 }
 
 FluidPrediction fluid_predict(const FlowSet& flows, const Allocation& alloc,
                               double source_pps, int payload_bytes,
-                              const MacConfig& mac, std::int64_t bps, int cw_min) {
+                              bool use_rts_cts, std::int64_t bps, int cw_min) {
   E2EFA_ASSERT(static_cast<int>(alloc.subflow_share.size()) == flows.subflow_count());
   E2EFA_ASSERT(source_pps > 0.0);
-  const double unit_rate = effective_packet_rate(payload_bytes, mac, bps, cw_min);
+  const double unit_rate = effective_packet_rate(payload_bytes, use_rts_cts, bps, cw_min);
 
   FluidPrediction out;
   out.subflow_rate.assign(static_cast<std::size_t>(flows.subflow_count()), 0.0);

@@ -8,9 +8,9 @@
 namespace e2efa {
 
 NodeStack::NodeStack(Simulator& sim, Channel& channel, NodeId self, const FlowSet& flows,
-                     TrafficStats& stats, const MacConfig& mac_cfg,
+                     TrafficStats& stats, bool use_rts_cts,
                      std::unique_ptr<TxQueue> queue, std::unique_ptr<BackoffPolicy> backoff,
-                     Rng mac_rng, TagAgent* tags)
+                     Rng mac_rng, TagScheduler* tags)
     : sim_(sim),
       self_(self),
       flows_(flows),
@@ -18,8 +18,8 @@ NodeStack::NodeStack(Simulator& sim, Channel& channel, NodeId self, const FlowSe
       queue_(std::move(queue)),
       backoff_(std::move(backoff)) {
   E2EFA_ASSERT(queue_ != nullptr && backoff_ != nullptr);
-  mac_ = std::make_unique<DcfMac>(sim, channel, self, mac_cfg, *queue_, *backoff_, *this,
-                                  mac_rng, tags);
+  mac_ = std::make_unique<DcfMac>(sim, channel, self, use_rts_cts, *queue_, *backoff_,
+                                  *this, mac_rng, tags);
 }
 
 void NodeStack::enqueue_and_notify(Packet p) {

@@ -374,14 +374,9 @@ void begin_check(CheckContext& check, const Scenario& sc, Protocol proto,
   CheckRunInfo info;
   info.node_count = sc.topo.node_count();
   info.cw_min = cfg.cw_min;
-  info.cw_max = cfg.cw_max;
   info.use_rts_cts = cfg.use_rts_cts;
   info.scaled_cw = proto == Protocol::k2paStaticCw;
   info.queue_capacity = cfg.queue_capacity;
-  const MacConfig mac_defaults;
-  info.ctrl_cw = mac_defaults.ctrl_cw;
-  info.slot = mac_defaults.slot;
-  info.sifs = mac_defaults.sifs;
   info.transport_dupack_threshold = kDupackThreshold;
   info.subflows.resize(static_cast<std::size_t>(flows.subflow_count()));
   for (int s = 0; s < flows.subflow_count(); ++s) {
@@ -596,25 +591,22 @@ struct RunState {
       channel.set_faults(faults.get());
     }
     wire_stacks();
-    if (check != nullptr) check->note_active_flows(active_sim_flows(0), 0);
+    if (check != nullptr) check->note_active_flows(active_sim_flows(0));
     if (dctrl) wire_agents();
     wire_sources();
   }
 
   void wire_stacks() {
-    MacConfig mac_cfg;
-    mac_cfg.retry_limit = cfg.retry_limit;
-    mac_cfg.use_rts_cts = cfg.use_rts_cts;
     stacks.reserve(static_cast<std::size_t>(sc.topo.node_count()));
     for (NodeId n = 0; n < sc.topo.node_count(); ++n) {
       std::unique_ptr<TxQueue> queue;
       std::unique_ptr<BackoffPolicy> backoff;
-      TagAgent* tags = nullptr;
+      TagScheduler* tags = nullptr;
       if (proto == Protocol::k80211) {
         auto fifo = std::make_unique<FifoQueue>(cfg.queue_capacity);
         fifo->set_check(check, n);
         queue = std::move(fifo);
-        backoff = std::make_unique<BebBackoff>(cfg.cw_min, cfg.cw_max);
+        backoff = std::make_unique<BebBackoff>(cfg.cw_min);
       } else {
         std::vector<TagScheduler::SubflowConfig> lanes;
         // In-band runs must not start from the oracle's answer: lanes begin
@@ -631,15 +623,15 @@ struct RunState {
         if (proto == Protocol::k2paStaticCw) {
           // Ablation: weighted queueing, but no tag feedback over the air.
           backoff = std::make_unique<ScaledCwBackoff>(
-              cfg.cw_min, cfg.cw_max, std::min(1.0, std::max(sched->node_share(), 1e-3)));
+              cfg.cw_min, std::min(1.0, std::max(sched->node_share(), 1e-3)));
         } else {
           tags = sched.get();
-          backoff = std::make_unique<TagBackoff>(cfg.cw_min, cfg.cw_max, *sched);
+          backoff = std::make_unique<TagBackoff>(cfg.cw_min, *sched);
         }
         queue = std::move(sched);
       }
       stacks.push_back(std::make_unique<NodeStack>(sim, channel, n, plan.flows, stats,
-                                                   mac_cfg, std::move(queue),
+                                                   cfg.use_rts_cts, std::move(queue),
                                                    std::move(backoff), master.split(), tags));
       stacks.back()->set_trace(trace);
       stacks.back()->set_check(check);
@@ -834,7 +826,7 @@ struct RunState {
     // The admission/stale-rate oracle learns the new population before the
     // control plane reacts, so every lane update at or after the boundary is
     // judged against the current flow set.
-    if (check != nullptr) check->note_active_flows(active_sim_flows(e), sim.now());
+    if (check != nullptr) check->note_active_flows(active_sim_flows(e));
     if (dctrl) {
       // No oracle push: tell the agents what went (in)active and let the
       // network re-converge through its own HELLO/CONSTRAINT/RATE cycle.

@@ -46,8 +46,6 @@ struct SimConfig {
   double sim_seconds = 1000.0;           ///< Paper: T = 1000 s.
   int queue_capacity = 50;               ///< Per transmit queue (ns-2 default).
   int cw_min = 31;                       ///< Paper: CW_min = 31.
-  int cw_max = 1023;
-  int retry_limit = 7;
   double alpha = 1e-4;                   ///< Paper: α = 0.0001.
   std::uint64_t seed = 1;
   /// Measurements start after this transient (simulated seconds); the run

@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "util/assert.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/time.hpp"
@@ -75,8 +76,13 @@ ConvergenceReport analyze_convergence(const std::vector<TraceRecord>& records,
   }
   if (rep.flow_count <= 0 || window_s <= 0.0) return rep;
 
-  const std::size_t windows =
-      static_cast<std::size_t>(std::ceil(to_seconds(t_max) / window_s));
+  // Bound the count as a double: a tiny window overflows the size_t cast.
+  const double window_count = std::ceil(to_seconds(t_max) / window_s);
+  if (!(window_count <= static_cast<double>(kMaxConvergenceWindows)))
+    throw ContractViolation(strformat(
+        "window %g s splits the %.3f s trace into more than %zu windows",
+        window_s, to_seconds(t_max), kMaxConvergenceWindows));
+  const auto windows = static_cast<std::size_t>(window_count);
   if (windows == 0) return rep;
   std::vector<std::vector<std::int64_t>> counts(
       windows, std::vector<std::int64_t>(static_cast<std::size_t>(rep.flow_count), 0));

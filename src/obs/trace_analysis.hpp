@@ -63,10 +63,16 @@ struct ConvergenceReport {
   std::vector<std::size_t> epoch_windows(int epoch) const;
 };
 
+/// Most windows analyze_convergence will split a trace into: each window
+/// holds one count and one share per flow.
+inline constexpr std::size_t kMaxConvergenceWindows = 100'000;
+
 /// Builds the report from trace records. Requires a kRunMeta record; the
 /// Lp category must have been recorded for targets/convergence (without it
 /// the report still carries raw windowed shares and an unnormalized Jain).
-/// `eps` is the relative tolerance for "within epsilon of r-hat".
+/// `eps` is the relative tolerance for "within epsilon of r-hat". Throws
+/// ContractViolation, before allocating, when `window_s` would split the
+/// trace into more than kMaxConvergenceWindows windows.
 ConvergenceReport analyze_convergence(const std::vector<TraceRecord>& records,
                                       double window_s, double eps);
 

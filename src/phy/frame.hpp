@@ -4,6 +4,7 @@
 // NAV (duration of the remainder of the exchange) for virtual carrier
 // sensing, and 2PA piggybacks the transmitting node's current service tag on
 // RTS/CTS/ACK so neighbors can maintain their local tag tables (Sec. IV-C).
+// The MAC's frame sizes are constants in mac/dcf_params.hpp.
 #pragma once
 
 #include <memory>
@@ -19,14 +20,6 @@ namespace e2efa {
 enum class FrameType { kRts, kCts, kData, kAck, kCtrl };
 
 const char* to_string(FrameType t);
-
-/// Frame sizes in bytes (MAC header + FCS; DATA adds the payload).
-struct FrameSizes {
-  int rts = 20;
-  int cts = 14;
-  int ack = 14;
-  int data_header = 52;  ///< MAC + IP/UDP overhead on top of the payload.
-};
 
 struct Frame {
   FrameType type = FrameType::kRts;

@@ -8,16 +8,11 @@
 namespace e2efa {
 
 TagScheduler::TagScheduler(std::vector<SubflowConfig> subflows, int per_queue_capacity,
-                           std::int64_t bits_per_second, double alpha,
-                           TimeNs tag_horizon)
-    : capacity_(per_queue_capacity),
-      bps_(bits_per_second),
-      alpha_(alpha),
-      tag_horizon_(tag_horizon) {
+                           std::int64_t bits_per_second, double alpha)
+    : capacity_(per_queue_capacity), bps_(bits_per_second), alpha_(alpha) {
   E2EFA_ASSERT(per_queue_capacity >= 1);
   E2EFA_ASSERT(bits_per_second > 0);
   E2EFA_ASSERT(alpha >= 0.0);
-  E2EFA_ASSERT(tag_horizon > 0);
   for (const SubflowConfig& cfg : subflows) {
     E2EFA_ASSERT_MSG(cfg.share > 0.0, "subflow share must be positive");
     E2EFA_ASSERT_MSG(!lane_index_.contains(cfg.subflow), "duplicate subflow");
@@ -77,7 +72,7 @@ bool TagScheduler::enqueue(Packet p, TimeNs now) {
   // the sync open for nodes whose tables were still empty here.
   trace_now_ = now;
   const bool was_empty = !has_packet();
-  if (was_empty && (last_busy_ == kInvalidTime || now - last_busy_ > tag_horizon_)) {
+  if (was_empty && (last_busy_ == kInvalidTime || now - last_busy_ > kTagHorizon)) {
     double synced = vclock_;
     for (const auto& [subflow, e] : tag_table_) {
       if (fresh(e, now)) synced = std::max(synced, e.tag);
@@ -87,7 +82,7 @@ bool TagScheduler::enqueue(Packet p, TimeNs now) {
     // packets (bootstrapping an empty table), short enough that a node
     // building up a legitimate service deficit stops adopting its
     // neighbors' clocks — that deficit is the fairness signal.
-    sync_grace_until_ = now + tag_horizon_ / 8;
+    sync_grace_until_ = now + kTagHorizon / 8;
   }
   last_busy_ = now;
 

@@ -10,6 +10,7 @@
 #include "check/check.hpp"
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
+#include "run_result_testing.hpp"
 
 namespace e2efa {
 namespace {
@@ -65,23 +66,17 @@ TEST(CheckTest, CleanInBasicAccessMode) {
 }
 
 TEST(CheckTest, ObserverDoesNotPerturbTheRun) {
-  for (Protocol proto : kAllProtocols) {
-    const RunResult plain = run_scenario(scenario1(), proto, short_config());
-    CheckContext check;
-    SimConfig cfg = short_config();
-    cfg.check = &check;
-    const RunResult checked = run_scenario(scenario1(), proto, cfg);
-    EXPECT_EQ(plain.delivered_per_subflow, checked.delivered_per_subflow)
-        << to_string(proto);
-    EXPECT_EQ(plain.end_to_end_per_flow, checked.end_to_end_per_flow)
-        << to_string(proto);
-    EXPECT_EQ(plain.total_end_to_end, checked.total_end_to_end) << to_string(proto);
-    EXPECT_EQ(plain.dropped_queue, checked.dropped_queue) << to_string(proto);
-    EXPECT_EQ(plain.dropped_mac, checked.dropped_mac) << to_string(proto);
-    EXPECT_EQ(plain.channel.frames_transmitted, checked.channel.frames_transmitted)
-        << to_string(proto);
-    EXPECT_EQ(plain.channel.frames_corrupted, checked.channel.frames_corrupted)
-        << to_string(proto);
+  // Every oracle always runs, so a checked run must match an unchecked one
+  // on every RunResult field, events_processed included.
+  for (const Scenario& sc : {scenario1(), scenario2()}) {
+    for (Protocol proto : kAllProtocols) {
+      SCOPED_TRACE(sc.name + " / " + to_string(proto));
+      const RunResult plain = run_scenario(sc, proto, short_config());
+      CheckContext check;
+      SimConfig cfg = short_config();
+      cfg.check = &check;
+      expect_identical(plain, run_scenario(sc, proto, cfg));
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 // suppression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "mac/backoff.hpp"
@@ -21,7 +22,7 @@ namespace {
 
 TEST(BebBackoff, WithinWindow) {
   Rng rng(1);
-  BebBackoff b(31, 1023);
+  BebBackoff b(31);
   for (int retries = 0; retries < 10; ++retries) {
     for (int i = 0; i < 200; ++i) {
       const int v = b.draw_slots(rng, retries, 0);
@@ -37,7 +38,7 @@ TEST(BebBackoff, WithinWindow) {
 TEST(BebBackoff, WindowDoubles) {
   // Empirically the mean of draws at retries=2 is ~4x the retries=0 mean.
   Rng rng(2);
-  BebBackoff b(31, 1023);
+  BebBackoff b(31);
   double m0 = 0, m2 = 0;
   const int n = 20000;
   for (int i = 0; i < n; ++i) m0 += b.draw_slots(rng, 0, 0);
@@ -46,16 +47,20 @@ TEST(BebBackoff, WindowDoubles) {
 }
 
 TEST(BebBackoff, CapsAtCwMax) {
+  // 12 retries escalate the window to 32·2^12 − 1 slots; kCwMax caps it.
   Rng rng(3);
-  BebBackoff b(31, 255);
-  for (int i = 0; i < 500; ++i) EXPECT_LE(b.draw_slots(rng, 12, 0), 255);
+  BebBackoff b(31);
+  int max_draw = 0;
+  for (int i = 0; i < 500; ++i) max_draw = std::max(max_draw, b.draw_slots(rng, 12, 0));
+  EXPECT_LE(max_draw, kCwMax);
+  EXPECT_GT(max_draw, kCwMax / 2);
 }
 
 TEST(BebBackoff, RejectsBadConfig) {
-  EXPECT_THROW(BebBackoff(0, 1023), ContractViolation);
-  EXPECT_THROW(BebBackoff(31, 15), ContractViolation);
+  EXPECT_THROW(BebBackoff(0), ContractViolation);
+  EXPECT_THROW(BebBackoff(kCwMax + 1), ContractViolation);
   Rng rng(1);
-  BebBackoff b(31, 1023);
+  BebBackoff b(31);
   EXPECT_THROW(b.draw_slots(rng, -1, 0), ContractViolation);
 }
 
@@ -79,7 +84,7 @@ TEST(TagBackoff, StretchesWithLag) {
   ASSERT_GT(sched.q_slots(0), 100.0);
 
   Rng rng(4);
-  TagBackoff b(31, 1023, sched);
+  TagBackoff b(31, sched);
   int above_cwmin = 0;
   for (int i = 0; i < 200; ++i) above_cwmin += b.draw_slots(rng, 0, 0) > 31 ? 1 : 0;
   EXPECT_GT(above_cwmin, 100);  // most draws exceed the base window
@@ -88,7 +93,7 @@ TEST(TagBackoff, StretchesWithLag) {
 TEST(TagBackoff, NoLagBehavesLikeCwMin) {
   TagScheduler sched({{0, 0.5}}, 10, 2'000'000, 0.01);
   Rng rng(5);
-  TagBackoff b(31, 1023, sched);
+  TagBackoff b(31, sched);
   for (int i = 0; i < 300; ++i) EXPECT_LE(b.draw_slots(rng, 0, 0), 31);
 }
 
@@ -100,7 +105,7 @@ TEST(BasicAccess, DeliversWithoutRtsCts) {
   Channel channel(sim, topo, 2'000'000);
   Rng master(7);
   FifoQueue q0(50), q1(50);
-  BebBackoff b0(31, 1023), b1(31, 1023);
+  BebBackoff b0(31), b1(31);
   class Cb : public MacCallbacks {
    public:
     void on_packet_delivered(const Packet& p) override { delivered.push_back(p); }
@@ -108,10 +113,8 @@ TEST(BasicAccess, DeliversWithoutRtsCts) {
     void on_packet_dropped(const Packet&) override {}
     std::vector<Packet> delivered;
   } cb0, cb1;
-  MacConfig cfg;
-  cfg.use_rts_cts = false;
-  DcfMac m0(sim, channel, 0, cfg, q0, b0, cb0, master.split());
-  DcfMac m1(sim, channel, 1, cfg, q1, b1, cb1, master.split());
+  DcfMac m0(sim, channel, 0, /*use_rts_cts=*/false, q0, b0, cb0, master.split());
+  DcfMac m1(sim, channel, 1, /*use_rts_cts=*/false, q1, b1, cb1, master.split());
 
   for (int i = 0; i < 10; ++i) {
     Packet p;
@@ -172,8 +175,8 @@ struct StackFixture {
     Rng master(1);
     // Node 1 is the relay under test.
     stack = std::make_unique<NodeStack>(
-        sim, channel, 1, flows, stats, MacConfig{}, std::make_unique<FifoQueue>(50),
-        std::make_unique<BebBackoff>(31, 1023), master.split(), nullptr);
+        sim, channel, 1, flows, stats, /*use_rts_cts=*/true, std::make_unique<FifoQueue>(50),
+        std::make_unique<BebBackoff>(31), master.split(), nullptr);
   }
   static std::vector<Flow> make_specs() {
     Flow f;

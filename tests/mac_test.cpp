@@ -29,10 +29,11 @@ struct MacNet {
     Rng master(seed);
     for (NodeId n = 0; n < topo.node_count(); ++n) {
       queues.push_back(std::make_unique<FifoQueue>(queue_capacity));
-      policies.push_back(std::make_unique<BebBackoff>(31, 1023));
+      policies.push_back(std::make_unique<BebBackoff>(31));
       cbs.push_back(std::make_unique<RecordingCallbacks>());
-      macs.push_back(std::make_unique<DcfMac>(sim, channel, n, MacConfig{}, *queues.back(),
-                                              *policies.back(), *cbs.back(), master.split()));
+      macs.push_back(std::make_unique<DcfMac>(sim, channel, n, /*use_rts_cts=*/true,
+                                              *queues.back(), *policies.back(), *cbs.back(),
+                                              master.split()));
     }
   }
 
@@ -171,10 +172,12 @@ TEST(DcfMac, TagPiggybackRoundTrip) {
 
   TagScheduler sched0({{5, 0.5}}, 50, 2'000'000, 1e-4);
   TagScheduler sched1({{6, 0.5}}, 50, 2'000'000, 1e-4);
-  BebBackoff beb0(31, 1023), beb1(31, 1023);
+  BebBackoff beb0(31), beb1(31);
   RecordingCallbacks cb0, cb1;
-  DcfMac mac0(sim, channel, 0, MacConfig{}, sched0, beb0, cb0, master.split(), &sched0);
-  DcfMac mac1(sim, channel, 1, MacConfig{}, sched1, beb1, cb1, master.split(), &sched1);
+  DcfMac mac0(sim, channel, 0, /*use_rts_cts=*/true, sched0, beb0, cb0, master.split(),
+              &sched0);
+  DcfMac mac1(sim, channel, 1, /*use_rts_cts=*/true, sched1, beb1, cb1, master.split(),
+              &sched1);
 
   Packet p;
   p.src = 0;
@@ -207,7 +210,7 @@ class FixedBackoff : public BackoffPolicy {
 /// One DcfMac + FifoQueue per node, each with a fixed backoff draw, and a
 /// PHY trace to read transmission start times from.
 struct FixedNet {
-  FixedNet(Topology t, const std::vector<int>& draws, MacConfig cfg = {})
+  FixedNet(Topology t, const std::vector<int>& draws)
       : topo(std::move(t)), channel(sim, topo, 2'000'000) {
     channel.set_trace(&trace);
     Rng master(1);
@@ -216,9 +219,9 @@ struct FixedNet {
       policies.push_back(
           std::make_unique<FixedBackoff>(draws[static_cast<std::size_t>(n)]));
       cbs.push_back(std::make_unique<RecordingCallbacks>());
-      macs.push_back(std::make_unique<DcfMac>(sim, channel, n, cfg, *queues.back(),
-                                              *policies.back(), *cbs.back(),
-                                              master.split()));
+      macs.push_back(std::make_unique<DcfMac>(sim, channel, n, /*use_rts_cts=*/true,
+                                              *queues.back(), *policies.back(),
+                                              *cbs.back(), master.split()));
     }
   }
 
@@ -259,9 +262,6 @@ Frame jam_frame(int bytes) {
   f.bytes = bytes;
   return f;
 }
-
-constexpr TimeNs kSlot = 20 * kMicrosecond;
-constexpr TimeNs kDifs = 50 * kMicrosecond;
 
 TEST(DcfMacBackoff, DrawOfZeroTransmitsAfterDifsPlusSlot) {
   for (int draw : {0, 1}) {
@@ -340,10 +340,12 @@ TEST(DcfMacBackoff, NavSetInTheArmingInstantDefersTheCountdown) {
   // before the MAC records the RTS's NAV. The countdown armed in that
   // instant must not run through the reservation: it restarts at its first
   // boundary and counts from the NAV's end, as a slot-by-slot countdown
-  // does.
-  MacConfig cfg;
-  cfg.ctrl_cw = 0;  // control draws are then always exactly one slot
-  FixedNet net(make_chain(2), {1, 1}, cfg);
+  // does. The control draw is the first draw from node 0's MAC stream
+  // (FixedNet seeds Rng(1) and splits one stream per node).
+  Rng node0 = Rng(1).split();
+  const int slots =
+      1 + static_cast<int>(node0.uniform_u64(static_cast<std::uint64_t>(kCtrlCw) + 1));
+  FixedNet net(make_chain(2), {1, 1});
   net.macs[0]->set_ctrl_listener([&](const Frame&) {
     auto msg = std::make_shared<CtrlMsg>();
     msg->kind = CtrlMsg::Kind::kHello;
@@ -363,7 +365,7 @@ TEST(DcfMacBackoff, NavSetInTheArmingInstantDefersTheCountdown) {
   net.sim.run();
   const std::vector<TimeNs> ctrl = net.tx_times(0, FrameType::kCtrl);
   ASSERT_EQ(ctrl.size(), 1u);
-  EXPECT_EQ(ctrl[0], end + kMillisecond + kDifs + kSlot);
+  EXPECT_EQ(ctrl[0], end + kMillisecond + kDifs + slots * kSlot);
 }
 
 }  // namespace

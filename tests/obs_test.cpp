@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_analysis.hpp"
 #include "route/routing.hpp"
+#include "util/assert.hpp"
 #include "util/time.hpp"
 
 namespace e2efa {
@@ -343,6 +344,28 @@ TEST(Convergence, SyntheticTraceConvergesWhenProportionsMatch) {
   ASSERT_TRUE(rep.convergence[0].converged);
   EXPECT_DOUBLE_EQ(rep.convergence[0].converged_s, 2.0);
   EXPECT_GT(rep.steady_jain(0), 0.99);
+}
+
+TEST(Convergence, RejectsMoreWindowsThanTheBound) {
+  // Each window holds a count per flow, so the analysis refuses a window
+  // count past kMaxConvergenceWindows before it allocates anything. 0.5-s
+  // windows split a 50000-s trace into exactly the bound.
+  auto trace_until = [](double t_end_s) {
+    std::vector<TraceRecord> rec;
+    rec.push_back(TraceRecord{0, static_cast<std::uint16_t>(TraceEvent::kRunMeta), -1,
+                              2, 2, 0, 0, 0, 1e6, 125});
+    rec.push_back(TraceRecord{from_seconds(t_end_s),
+                              static_cast<std::uint16_t>(TraceEvent::kDelivery), 1,
+                              0, 0, 0, 0, 0, 0.01, 0});
+    return rec;
+  };
+  const double bound_s = 0.5 * static_cast<double>(kMaxConvergenceWindows);
+  EXPECT_EQ(analyze_convergence(trace_until(bound_s), 0.5, 0.2).window_end_s.size(),
+            kMaxConvergenceWindows);
+  EXPECT_THROW(analyze_convergence(trace_until(bound_s + 0.5), 0.5, 0.2),
+               ContractViolation);
+  // 1-ns windows over 30 s would be 3·10^10 windows.
+  EXPECT_THROW(analyze_convergence(trace_until(30.0), 1e-9, 0.2), ContractViolation);
 }
 
 TEST(Convergence, RealRunConvergesAndJainReachesSteadyState) {

@@ -175,9 +175,10 @@ TEST(TagScheduler, JoinSynchronizationAdoptsFreshTags) {
 }
 
 TEST(TagScheduler, JoinSynchronizationIgnoresStaleTags) {
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3, /*tag_horizon=*/kSecond);
+  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3);
   s.observe_tag(5, 50'000.0, 0);
-  // Entry is 3 s old at enqueue time: too stale to adopt.
+  // Entry is 3 s old at enqueue time, past the 2-s kTagHorizon: too stale
+  // to adopt.
   s.enqueue(make_packet(0, 1), 3 * kSecond);
   EXPECT_DOUBLE_EQ(s.virtual_clock(), 0.0);
 }
@@ -202,7 +203,7 @@ TEST(TagScheduler, NoResyncWhileContinuouslyBusy) {
 TEST(TagScheduler, GraceWindowSyncsEmptyTableJoiner) {
   // A joiner whose table was empty at its first enqueue adopts the first
   // (much larger) overheard clock during the short grace window.
-  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3, /*tag_horizon=*/2 * kSecond);
+  TagScheduler s({{0, 0.5}}, 10, kBps, 1e-3);
   s.enqueue(make_packet(0, 1), 0);  // join with empty table; grace 250 ms
   s.observe_tag(5, 5'000'000.0, 100 * kMillisecond);
   EXPECT_DOUBLE_EQ(s.virtual_clock(), 5'000'000.0);
@@ -214,9 +215,9 @@ TEST(TagScheduler, GraceWindowSyncsEmptyTableJoiner) {
 
 TEST(TagScheduler, StaleEntriesLeaveQ) {
   const double alpha = 1e-3;
-  TagScheduler s({{0, 0.5}}, 10, kBps, alpha, /*tag_horizon=*/kSecond);
+  TagScheduler s({{0, 0.5}}, 10, kBps, alpha);
   s.enqueue(make_packet(0, 1), 0);
-  const TimeNs t = kSecond / 2;  // past the grace (125 ms), entry fresh
+  const TimeNs t = kSecond / 2;  // past the grace (250 ms), entry fresh
   s.observe_tag(5, 1000.0, t);
   // Fresh: counted.
   EXPECT_NEAR(s.q_slots(t + kSecond / 2), alpha * (0.0 - 1000.0), 1e-9);

@@ -1,7 +1,10 @@
 // Tests for the static weighted-CW ablation protocol and ScaledCwBackoff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mac/backoff.hpp"
+#include "mac/dcf_params.hpp"
 #include "net/runner.hpp"
 #include "net/scenarios.hpp"
 #include "util/assert.hpp"
@@ -11,8 +14,8 @@ namespace {
 
 TEST(ScaledCwBackoff, WindowScalesInverselyWithShare) {
   Rng rng(1);
-  ScaledCwBackoff half(31, 1023, 0.5);   // window ~62
-  ScaledCwBackoff full(31, 1023, 1.0);   // window 31
+  ScaledCwBackoff half(31, 0.5);   // window ~62
+  ScaledCwBackoff full(31, 1.0);   // window 31
   double m_half = 0, m_full = 0;
   for (int i = 0; i < 20000; ++i) {
     m_half += half.draw_slots(rng, 0, 0);
@@ -23,13 +26,16 @@ TEST(ScaledCwBackoff, WindowScalesInverselyWithShare) {
 
 TEST(ScaledCwBackoff, CapsAtCwMax) {
   Rng rng(2);
-  ScaledCwBackoff tiny(31, 255, 0.01);  // 31/0.01 = 3100 -> capped at 255
-  for (int i = 0; i < 500; ++i) EXPECT_LE(tiny.draw_slots(rng, 5, 0), 255);
+  ScaledCwBackoff tiny(31, 0.01);  // 31/0.01 = 3100 -> capped at kCwMax
+  int max_draw = 0;
+  for (int i = 0; i < 500; ++i) max_draw = std::max(max_draw, tiny.draw_slots(rng, 5, 0));
+  EXPECT_LE(max_draw, kCwMax);
+  EXPECT_GT(max_draw, kCwMax / 2);
 }
 
 TEST(ScaledCwBackoff, RejectsBadShare) {
-  EXPECT_THROW(ScaledCwBackoff(31, 1023, 0.0), ContractViolation);
-  EXPECT_THROW(ScaledCwBackoff(31, 1023, 1.5), ContractViolation);
+  EXPECT_THROW(ScaledCwBackoff(31, 0.0), ContractViolation);
+  EXPECT_THROW(ScaledCwBackoff(31, 1.5), ContractViolation);
 }
 
 TEST(StaticCwProtocol, RunsWithSameTargetsAs2pa) {

@@ -22,6 +22,7 @@
 // `chrome` converts the trace to Chrome trace-event JSON (load in Perfetto
 // or chrome://tracing): one track per node, frame airtime as slices, span
 // edges as flow arrows.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +32,7 @@
 
 #include "obs/trace.hpp"
 #include "obs/trace_analysis.hpp"
+#include "util/assert.hpp"
 #include "util/strings.hpp"
 
 using namespace e2efa;
@@ -124,8 +126,9 @@ int main(int argc, char** argv) {
     if (key == "--flow") {
       if (command != "timeline" && command != "follow")
         usage("--flow only applies to timeline and follow");
-      flow = static_cast<int>(integer_arg(key, val));
-      if (flow < 0) usage("--flow must be >= 0");
+      const long long f = integer_arg(key, val);
+      if (f < 0 || f > INT_MAX) usage("--flow must be in [0, " + std::to_string(INT_MAX) + "]");
+      flow = static_cast<int>(f);
     } else if (key == "--limit") {
       if (command != "timeline" && command != "follow")
         usage("--limit only applies to timeline and follow");
@@ -151,24 +154,29 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (command == "summary") {
-    std::printf("%zu records\n%s", records.size(),
-                format_trace_summary(records).c_str());
-  } else if (command == "jsonl") {
-    for (const TraceRecord& r : records)
-      std::printf("%s\n", trace_record_jsonl(r).c_str());
-  } else if (command == "timeline") {
-    std::printf("%s", format_flow_timeline(records, flow,
-                                           static_cast<std::size_t>(limit))
-                          .c_str());
-  } else if (command == "follow") {
-    std::printf("%s",
-                format_follow(records, flow, static_cast<std::size_t>(limit))
-                    .c_str());
-  } else if (command == "chrome") {
-    std::printf("%s", format_chrome_trace(records).c_str());
-  } else {
-    print_convergence(analyze_convergence(records, window_s, eps));
+  try {
+    if (command == "summary") {
+      std::printf("%zu records\n%s", records.size(),
+                  format_trace_summary(records).c_str());
+    } else if (command == "jsonl") {
+      for (const TraceRecord& r : records)
+        std::printf("%s\n", trace_record_jsonl(r).c_str());
+    } else if (command == "timeline") {
+      std::printf("%s", format_flow_timeline(records, flow,
+                                             static_cast<std::size_t>(limit))
+                            .c_str());
+    } else if (command == "follow") {
+      std::printf("%s",
+                  format_follow(records, flow, static_cast<std::size_t>(limit))
+                      .c_str());
+    } else if (command == "chrome") {
+      std::printf("%s", format_chrome_trace(records).c_str());
+    } else {
+      print_convergence(analyze_convergence(records, window_s, eps));
+    }
+  } catch (const ContractViolation& e) {
+    std::fprintf(stderr, "trace-tool: %s\n", e.what());
+    return 1;
   }
   return 0;
 }
